@@ -1,8 +1,8 @@
 # Tier-1+ verification gate. `make check` is what CI and reviewers
-# run: vet, build, the full test suite under the race detector, and
-# the fault-tolerance soak scenario. `make lint` and `make benchcheck`
-# are the static and empirical halves of the same no-allocation,
-# no-blocking claim on the hot paths.
+# run: vet, build, the full test suite under the race detector, the
+# soak scenarios, `make lint` and `make benchcheck` (the static and
+# empirical halves of the same no-allocation, no-blocking claim on the
+# hot paths), and the benchmark module's vet and race tests.
 
 GO ?= go
 
@@ -10,11 +10,11 @@ GO ?= go
 # dispatch or real-time hot path.
 LINT_PKGS = ./internal/membrane/... ./internal/obs/... ./internal/comm/... ./internal/rtsj/... ./internal/qos/...
 
-.PHONY: all check vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck bench bench-obs bench-scenarios clean
+.PHONY: all check vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck bench-module bench bench-obs bench-scenarios clean
 
 all: check
 
-check: vet build race soak soak-cluster soak-overload soak-load
+check: vet build race soak soak-cluster soak-overload soak-load lint benchcheck bench-module
 
 vet:
 	$(GO) vet ./...
@@ -109,6 +109,12 @@ benchcheck:
 	echo "$$out"; \
 	echo "$$out" | awk '/allocs\/op/ && $$(NF-1)+0 > 0 { bad=1; print "benchcheck: " $$1 " allocates on the hot path" } END { exit bad+0 }'
 	$(GO) test -run TestSummaryBudget ./internal/lint/
+
+# benchmark/ is a module of its own (outside ./...), so the checks
+# above never compile it: vet and race-test it here, so an API change
+# it depends on cannot break it unnoticed.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test -race -count=1 .
 
 bench:
 	$(GO) test -bench Fig7 -benchmem

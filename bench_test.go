@@ -25,7 +25,6 @@ import (
 	"soleil/internal/rtsj/memory"
 	"soleil/internal/rtsj/thread"
 	"soleil/internal/scenario"
-	"soleil/internal/trace"
 )
 
 // --- Fig. 7(a): execution-time distribution --------------------------------------
@@ -70,7 +69,7 @@ func BenchmarkFig7b(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer v.Close()
-			var last trace.Summary
+			var last evaluation.Summary
 			for i := 0; i < b.N; i++ {
 				r, err := evaluation.MeasureTiming(v, evaluation.DefaultWarmup, evaluation.DefaultObservations)
 				if err != nil {

@@ -28,7 +28,6 @@ import (
 	"soleil/internal/fixture"
 	"soleil/internal/generate"
 	"soleil/internal/obs"
-	"soleil/internal/trace"
 )
 
 func main() {
@@ -116,12 +115,12 @@ func panelA(w io.Writer, timings []evaluation.TimingResult, buckets int, csv boo
 		}
 		if csv {
 			fmt.Fprintf(w, "# %s\n", r.Variant)
-			if err := trace.WriteCSV(w, r.Samples); err != nil {
+			if err := evaluation.WriteCSV(w, r.Samples); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := trace.RenderHistogram(w, r.Variant, trace.Histogram(r.Samples, buckets)); err != nil {
+		if err := evaluation.RenderHistogram(w, r.Variant, evaluation.Histogram(r.Samples, buckets)); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
@@ -143,7 +142,7 @@ func panelA(w io.Writer, timings []evaluation.TimingResult, buckets int, csv boo
 			continue
 		}
 		fmt.Fprintf(w, "  %-12s %12.2f %10.3f\n",
-			r.Variant, ratio, trace.ShiftedKS(ooSamples, r.Samples))
+			r.Variant, ratio, evaluation.ShiftedKS(ooSamples, r.Samples))
 	}
 	return nil
 }

@@ -503,7 +503,7 @@ func cmdRun(args []string) error {
 		cfg.Tracer = tracer
 	}
 	var spec fault.Spec
-	var flog *fault.Log
+	var guards []*fault.PanicInterceptor
 	if *faults != "" {
 		if spec, err = fault.ParseSpec(*faults); err != nil {
 			return err
@@ -511,10 +511,11 @@ func cmdRun(args []string) error {
 		if mode != assembly.Soleil {
 			return fmt.Errorf("soleil: -faults needs the SOLEIL mode (membranes carry the panic guards)")
 		}
-		flog = fault.NewLog(0)
 		cfg.Resilient = true
 		cfg.Interceptors = func(component string) []membrane.Interceptor {
-			ints := []membrane.Interceptor{fault.NewPanicInterceptor(component, flog, nil)}
+			guard := fault.NewPanicInterceptor(component)
+			guards = append(guards, guard)
+			ints := []membrane.Interceptor{guard}
 			if spec.Panic > 0 {
 				ints = append(ints, fault.NewChaosInterceptor(spec.Panic, spec.Seed))
 			}
@@ -536,7 +537,7 @@ func cmdRun(args []string) error {
 	}
 	var sup *fault.Supervisor
 	if *faults != "" {
-		supOpts := []fault.SupervisorOption{fault.WithLog(flog)}
+		var supOpts []fault.SupervisorOption
 		if reg != nil {
 			supOpts = append(supOpts, fault.WithRegistry(reg))
 		}
@@ -640,8 +641,11 @@ func cmdRun(args []string) error {
 			b.Name(), st.Enqueued, st.Dequeued, st.Dropped, st.MaxDepth, st.OverflowRate()*100)
 	}
 	if sup != nil {
-		fmt.Printf("  faults: %d recorded (%d panics); system errors absorbed: %d\n",
-			flog.Total(), flog.CountByKind(fault.Panic), len(sys.Errors()))
+		var panics int64
+		for _, g := range guards {
+			panics += g.Recovered()
+		}
+		fmt.Printf("  faults: %d panics recovered; system errors absorbed: %d\n", panics, len(sys.Errors()))
 		actions := sup.Actions()
 		fmt.Printf("  supervisor: %d action(s)\n", len(actions))
 		for i, a := range actions {

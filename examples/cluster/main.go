@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -175,56 +174,18 @@ func run() error {
 	}
 
 	// All three agents live in this process, so the descriptor's fixed
-	// ports are overridden with ":0" and a resolver maps node names to
-	// whatever was actually bound — the same mechanism a service
-	// registry would provide in a real deployment.
-	var mu sync.Mutex
-	addrs := map[string]string{}
-	metrics := map[string]string{}
-	resolve := func(node string) (string, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		a, ok := addrs[node]
-		if !ok {
-			return "", fmt.Errorf("node %s not registered yet", node)
-		}
-		return a, nil
+	// ports are overridden with ephemeral ones and a resolver maps node
+	// names to whatever was actually bound — the same mechanism a
+	// service registry would provide in a real deployment.
+	lc, err := cluster.StartLocal(plan, cluster.AgentConfig{
+		Registry:    reg,
+		MetricsAddr: "127.0.0.1:0",
+		Beat:        50 * time.Millisecond,
+	})
+	if err != nil {
+		return err
 	}
-	agents := map[string]*cluster.Agent{}
-	start := func(node string) (*cluster.Agent, error) {
-		ag, err := cluster.Start(cluster.AgentConfig{
-			Node:        node,
-			Plan:        plan,
-			Registry:    reg,
-			ListenAddr:  "127.0.0.1:0",
-			MetricsAddr: "127.0.0.1:0",
-			Resolver:    resolve,
-			Beat:        50 * time.Millisecond,
-			Dial:        dist.DialConfig{Timeout: 2 * time.Second, Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
-		})
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		addrs[node] = ag.Addr()
-		metrics[node] = ag.MetricsAddr()
-		agents[node] = ag
-		mu.Unlock()
-		return ag, nil
-	}
-	defer func() {
-		for _, ag := range agents {
-			ag.Close()
-		}
-	}()
-
-	// Deliberately out of dependency order: alpha dials beta before
-	// beta exists and converges through the link dialer's backoff.
-	for _, node := range []string{"alpha", "beta", "gamma"} {
-		if _, err := start(node); err != nil {
-			return err
-		}
-	}
+	defer lc.Close()
 	if err := waitFor(10*time.Second, func() bool { return sink.got.Load() >= 25 }); err != nil {
 		return fmt.Errorf("pipeline never converged: %w", err)
 	}
@@ -232,9 +193,7 @@ func run() error {
 		sink.got.Load(), cache.hits.Load())
 
 	coord := cluster.NewCoordinator(plan, func(node string) (string, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return metrics[node], nil
+		return lc.Agent(node).MetricsAddr(), nil
 	})
 	st := coord.Status()
 	fmt.Printf("coordinator: cluster healthy = %v\n", st.Healthy)
@@ -247,23 +206,20 @@ func run() error {
 	// alpha's link dialer reconnects, and the pipeline reconverges
 	// without any component being told about the outage.
 	fmt.Println("\nkilling node beta mid-load ...")
-	agents["beta"].Close()
-	mu.Lock()
-	delete(agents, "beta")
-	mu.Unlock()
+	lc.Agent("beta").Close()
 	time.Sleep(300 * time.Millisecond)
 	if st := coord.Status(); st.Healthy {
 		return fmt.Errorf("coordinator still reports healthy with beta down")
 	}
 	fmt.Println("coordinator degraded; restarting beta ...")
 	atKill := sink.got.Load()
-	if _, err := start("beta"); err != nil {
+	if _, err := lc.Restart("beta"); err != nil {
 		return err
 	}
 	if err := waitFor(10*time.Second, func() bool { return sink.got.Load() >= atKill+25 }); err != nil {
 		return fmt.Errorf("pipeline never reconverged: %w", err)
 	}
-	alpha := agents["alpha"]
+	alpha := lc.Agent("alpha")
 	fmt.Printf("reconverged: sink at %d results, alpha reconnected %d time(s), cluster healthy = %v\n",
 		sink.got.Load(), alpha.Reconnects(), coord.Status().Healthy)
 	return nil

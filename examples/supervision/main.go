@@ -5,12 +5,11 @@
 // transport wrapped with deterministic fault injection (drops,
 // duplicates, corruption — replayable from a seed). The station's
 // content panics on every 7th frame; a panic interceptor in its
-// membrane converts the panic into a recorded fault and flips the
-// component's lifecycle to FAILED, and a supervisor restarts it
-// through the reconfiguration manager. The producer side is hardened
-// with retry + circuit breaker + per-call timeout, and the importer
-// absorbs delivery errors instead of dying — so the run completes
-// with zero process crashes.
+// membrane recovers the panic and flips the component's lifecycle to
+// FAILED, and a supervisor restarts it through the reconfiguration
+// manager. The producer side is hardened with retry + circuit breaker
+// + per-call timeout, and the importer absorbs delivery errors instead
+// of dying — so the run completes with zero process crashes.
 //
 //	go run ./examples/supervision
 package main
@@ -106,7 +105,7 @@ func buildProducerSystem(content soleil.Content) (*soleil.System, error) {
 	return fw.Deploy(arch, soleil.Soleil)
 }
 
-func buildConsumerSystem(content soleil.Content, log *soleil.FaultLog) (*soleil.System, error) {
+func buildConsumerSystem(content soleil.Content, guard *fault.PanicInterceptor) (*soleil.System, error) {
 	arch := soleil.NewArchitecture("ground")
 	snk, err := arch.NewPassive("Station")
 	if err != nil {
@@ -129,11 +128,11 @@ func buildConsumerSystem(content soleil.Content, log *soleil.FaultLog) (*soleil.
 	if err := fw.Register("StationImpl", func() soleil.Content { return content }); err != nil {
 		return nil, err
 	}
-	// The panic guard rides on the membrane of every component.
+	// The panic guard rides on the station's membrane.
 	return fw.DeployConfig(arch, soleil.DeployOptions{
 		Mode: soleil.Soleil,
 		Interceptors: func(component string) []membrane.Interceptor {
-			return []membrane.Interceptor{soleil.NewPanicInterceptor(component, log, nil)}
+			return []membrane.Interceptor{guard}
 		},
 	})
 }
@@ -148,14 +147,14 @@ func main() {
 func run() error {
 	soleil.RegisterPayload(telemetry{})
 
-	flog := soleil.NewFaultLog(0)
 	prodContent := &producer{}
 	station := &flakyStation{}
 	producerSys, err := buildProducerSystem(prodContent)
 	if err != nil {
 		return err
 	}
-	consumerSys, err := buildConsumerSystem(station, flog)
+	guard := soleil.NewPanicInterceptor("Station")
+	consumerSys, err := buildConsumerSystem(station, guard)
 	if err != nil {
 		return err
 	}
@@ -164,7 +163,7 @@ func run() error {
 	// injection: the same seed replays the same drops/duplicates.
 	a, b := soleil.NewPipeTransport()
 	spec := soleil.FaultSpec{Drop: 0.08, Duplicate: 0.05, Corrupt: 0.03, Seed: 7}
-	lossy, err := soleil.InjectFaults(a, spec, flog)
+	lossy, err := soleil.InjectFaults(a, spec)
 	if err != nil {
 		return err
 	}
@@ -195,7 +194,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sup, err := soleil.NewSupervisor(adapter, fault.WithLog(flog))
+	sup, err := soleil.NewSupervisor(adapter)
 	if err != nil {
 		return err
 	}
@@ -248,8 +247,7 @@ func run() error {
 	st := lossy.(*fault.Injector).Stats()
 	fmt.Printf("injected faults: dropped=%d duplicated=%d corrupted=%d (seed %d)\n",
 		st.Dropped, st.Duplicated, st.Corrupted, spec.Seed)
-	fmt.Printf("faults recorded: %d total, %d panics; delivery errors absorbed: %d\n",
-		flog.Total(), flog.CountByKind(fault.Panic), deliveryErrs)
+	fmt.Printf("panics recovered: %d; delivery errors absorbed: %d\n", guard.Recovered(), deliveryErrs)
 	restarts := 0
 	for _, a := range sup.Actions() {
 		if a.Kind == "restart" && a.Err == nil {

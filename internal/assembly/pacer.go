@@ -36,19 +36,11 @@ type Pacer struct {
 
 // PacerOptions tunes a Pacer. The zero value is serviceable.
 type PacerOptions struct {
-	// Scale multiplies every declared period (default 1.0). A scale
-	// above 1 slows the system down uniformly — useful when an
-	// architecture designed for virtual time would busy-spin a demo
-	// host.
-	Scale float64
 	// SporadicPoll is the polling interval for sporadic and aperiodic
 	// components without a declared minimum interarrival time
 	// (default 2ms): their inbound buffers are drained at this rate,
 	// standing in for the scheduler's arrival-triggered releases.
 	SporadicPoll time.Duration
-	// OnError, when set, observes every absorbed activation error
-	// (after it is recorded in the system's error ring).
-	OnError func(component string, err error)
 }
 
 // NewPacer prepares a pacer for every active primitive of the system.
@@ -57,9 +49,6 @@ type PacerOptions struct {
 func NewPacer(sys *System, opts PacerOptions) (*Pacer, error) {
 	if sys.Mode() != Soleil {
 		return nil, fmt.Errorf("assembly: pacer requires SOLEIL mode, not %v", sys.Mode())
-	}
-	if opts.Scale <= 0 {
-		opts.Scale = 1.0
 	}
 	if opts.SporadicPoll <= 0 {
 		opts.SporadicPoll = 2 * time.Millisecond
@@ -105,15 +94,10 @@ func (p *Pacer) Run() error {
 
 // interval maps release parameters onto a wall-clock tick.
 func (p *Pacer) interval(act model.Activation) time.Duration {
-	d := act.Period
-	if d <= 0 {
-		d = p.opts.SporadicPoll
+	if act.Period > 0 {
+		return act.Period
 	}
-	d = time.Duration(float64(d) * p.opts.Scale)
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	return d
+	return p.opts.SporadicPoll
 }
 
 func (p *Pacer) drive(node Node, act model.Activation, env *thread.Env, closeEnv func()) {
@@ -171,9 +155,6 @@ func (p *Pacer) absorb(name string, fn func() error) {
 	if err != nil {
 		p.errors.Add(1)
 		p.sys.recordErr(fmt.Errorf("%s: %w", name, err))
-		if p.opts.OnError != nil {
-			p.opts.OnError(name, err)
-		}
 	}
 }
 

@@ -45,12 +45,13 @@ type AgentConfig struct {
 	Pacer assembly.PacerOptions
 	// AllowStubs deploys stub content for unregistered classes.
 	AllowStubs bool
-	// SupervisorInterval is the fault supervisor's poll period
-	// (default 2ms).
-	SupervisorInterval time.Duration
 	// Logf, when set, receives agent lifecycle messages.
 	Logf func(format string, args ...any)
 }
+
+// supervisorInterval is how often an agent's supervisor polls its
+// components for a FAILED lifecycle.
+const supervisorInterval = 2 * time.Millisecond
 
 // Agent is one running node of a cluster deployment: its partition of
 // the architecture brought up by assembly, its export links writing
@@ -70,7 +71,6 @@ type Agent struct {
 	pacer *assembly.Pacer
 	reg   *obs.Registry
 	rec   *obs.Recorder
-	flog  *fault.Log
 
 	ln      *dist.Listener
 	writers []*linkWriter
@@ -100,7 +100,6 @@ func Start(cfg AgentConfig) (*Agent, error) {
 		logf:     cfg.Logf,
 		reg:      obs.NewRegistry(),
 		rec:      obs.NewRecorder(np.Name, 0),
-		flog:     fault.NewLog(256),
 		outs:     make(map[string]*outLink),
 		imports:  make(map[string]*importState),
 		sessions: make(map[dist.Transport]struct{}),
@@ -127,7 +126,7 @@ func (a *Agent) start() error {
 		AllowStubs: a.cfg.AllowStubs,
 		Metrics:    a.reg,
 		Interceptors: func(component string) []membrane.Interceptor {
-			return []membrane.Interceptor{fault.NewPanicInterceptor(component, a.flog, nil)}
+			return []membrane.Interceptor{fault.NewPanicInterceptor(component)}
 		},
 	})
 	if err != nil {
@@ -141,7 +140,7 @@ func (a *Agent) start() error {
 	// Node-level supervision: every primitive of the partition is
 	// watched; a failed component restarts in place while the links
 	// keep buffering.
-	if a.sup, err = fault.NewSupervisor(a.mgr, fault.WithLog(a.flog), fault.WithRegistry(a.reg)); err != nil {
+	if a.sup, err = fault.NewSupervisor(a.mgr, fault.WithRegistry(a.reg)); err != nil {
 		return err
 	}
 	for _, name := range a.np.Primitives {
@@ -150,11 +149,7 @@ func (a *Agent) start() error {
 			fault.Policy{Directive: fault.RestartOneForOne, MaxRestarts: 10, Window: time.Second},
 			fault.FailureProbe(func() (bool, error) { return a.sys.ComponentFailed(name) }))
 	}
-	interval := a.cfg.SupervisorInterval
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
-	a.sup.Start(interval)
+	a.sup.Start(supervisorInterval)
 
 	// The import side: per-link bookkeeping first (serveConn looks it
 	// up), then listen for peers carrying our inbound links.

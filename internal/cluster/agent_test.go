@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,9 +113,7 @@ func (s *clSink) Activate(*thread.Env) error { return nil }
 
 // --- harness -----------------------------------------------------------------------
 
-// testCluster runs the pipeline plan in-process: every node listens
-// on an ephemeral loopback port and a shared resolver maps node names
-// to whatever was actually bound — the cluster equivalent of ":0".
+// testCluster runs the pipeline plan in-process through StartLocal.
 type testCluster struct {
 	plan *Plan
 	reg  *assembly.Registry
@@ -126,10 +123,8 @@ type testCluster struct {
 	cache  *clCache
 	sink   *clSink
 
-	mu        sync.Mutex
-	addrs     map[string]string
-	agents    map[string]*Agent
-	recorders []*obs.Recorder // every agent ever started, kills and restarts included
+	local     *Local
+	recorders []*obs.Recorder // every agent ever started, restarts included
 }
 
 func newTestCluster(t *testing.T, contract ...*model.Contract) *testCluster {
@@ -147,8 +142,6 @@ func newTestCluster(t *testing.T, contract ...*model.Contract) *testCluster {
 		worker: &clWorker{},
 		cache:  &clCache{},
 		sink:   &clSink{},
-		addrs:  make(map[string]string),
-		agents: make(map[string]*Agent),
 	}
 	must(t, c.reg.Register("SensorImpl", func() membrane.Content { return c.sensor }))
 	must(t, c.reg.Register("WorkerImpl", func() membrane.Content { return c.worker }))
@@ -157,40 +150,40 @@ func newTestCluster(t *testing.T, contract ...*model.Contract) *testCluster {
 	return c
 }
 
-func (c *testCluster) resolve(node string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addr, ok := c.addrs[node]
-	if !ok {
-		return "", fmt.Errorf("node %s not up yet", node)
-	}
-	return addr, nil
-}
-
-func (c *testCluster) start(t *testing.T, node string, metrics bool) *Agent {
+// start brings every node up; metrics serves each node's
+// observability endpoint on an ephemeral port. The cluster closes
+// when the test ends.
+func (c *testCluster) start(t *testing.T, metrics bool) {
 	t.Helper()
 	cfg := AgentConfig{
-		Node:       node,
-		Plan:       c.plan,
-		Registry:   c.reg,
-		ListenAddr: "127.0.0.1:0",
-		Resolver:   c.resolve,
-		Beat:       20 * time.Millisecond,
-		Dial:       dist.DialConfig{Timeout: 2 * time.Second, Base: 2 * time.Millisecond, Max: 50 * time.Millisecond},
-		Logf:       t.Logf,
+		Registry: c.reg,
+		Beat:     20 * time.Millisecond,
+		Dial:     dist.DialConfig{Timeout: 2 * time.Second, Base: 2 * time.Millisecond, Max: 50 * time.Millisecond},
+		Logf:     t.Logf,
 	}
 	if metrics {
 		cfg.MetricsAddr = "127.0.0.1:0"
 	}
-	ag, err := Start(cfg)
+	lc, err := StartLocal(c.plan, cfg)
 	if err != nil {
-		t.Fatalf("start %s: %v", node, err)
+		t.Fatalf("start cluster: %v", err)
 	}
-	c.mu.Lock()
-	c.addrs[node] = ag.Addr()
-	c.agents[node] = ag
+	t.Cleanup(lc.Close)
+	c.local = lc
+	for _, ag := range lc.Agents() {
+		c.recorders = append(c.recorders, ag.FlightRecorder())
+	}
+}
+
+// restart brings a node back on a fresh port, keeping the flight
+// recorder of the incarnation it replaces for the merged timeline.
+func (c *testCluster) restart(t *testing.T, node string) *Agent {
+	t.Helper()
+	ag, err := c.local.Restart(node)
+	if err != nil {
+		t.Fatalf("restart %s: %v", node, err)
+	}
 	c.recorders = append(c.recorders, ag.FlightRecorder())
-	c.mu.Unlock()
 	return ag
 }
 
@@ -199,27 +192,11 @@ func (c *testCluster) start(t *testing.T, node string, metrics bool) *Agent {
 // cross-node timeline. Rings stay readable after Close, so this works
 // in failure cleanups too.
 func (c *testCluster) mergedTimeline() []obs.Event {
-	c.mu.Lock()
-	recs := append([]*obs.Recorder(nil), c.recorders...)
-	c.mu.Unlock()
-	batches := make([][]obs.Event, 0, len(recs))
-	for _, r := range recs {
+	batches := make([][]obs.Event, 0, len(c.recorders))
+	for _, r := range c.recorders {
 		batches = append(batches, r.Events())
 	}
 	return obs.MergeEvents(batches...)
-}
-
-func (c *testCluster) closeAll() {
-	c.mu.Lock()
-	agents := make([]*Agent, 0, len(c.agents))
-	for _, ag := range c.agents {
-		agents = append(agents, ag)
-	}
-	c.agents = make(map[string]*Agent)
-	c.mu.Unlock()
-	for _, ag := range agents {
-		ag.Close()
-	}
 }
 
 func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
@@ -237,13 +214,8 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 
 func TestClusterThreeNodePipeline(t *testing.T) {
 	c := newTestCluster(t)
-	defer c.closeAll()
-
-	// Peers may come up in any order: alpha dials beta before beta's
-	// address is even known and converges via backoff.
-	alpha := c.start(t, "alpha", false)
-	beta := c.start(t, "beta", true)
-	gamma := c.start(t, "gamma", false)
+	c.start(t, true)
+	alpha, beta, gamma := c.local.Agent("alpha"), c.local.Agent("beta"), c.local.Agent("gamma")
 
 	waitFor(t, "sink to see 20 messages", 10*time.Second, func() bool { return c.sink.got.Load() >= 20 })
 	if c.cache.hits.Load() == 0 {
@@ -278,8 +250,8 @@ func TestClusterThreeNodePipeline(t *testing.T) {
 
 func TestAgentRejectsUnknownLink(t *testing.T) {
 	c := newTestCluster(t)
-	defer c.closeAll()
-	gamma := c.start(t, "gamma", false)
+	c.start(t, false)
+	gamma := c.local.Agent("gamma")
 
 	tr, err := dist.Dial(gamma.Addr(), dist.DialConfig{})
 	if err != nil {

@@ -11,17 +11,13 @@ import (
 
 func TestCoordinatorAggregatesCluster(t *testing.T) {
 	c := newTestCluster(t)
-	defer c.closeAll()
-	c.start(t, "alpha", true)
-	c.start(t, "beta", true)
-	gamma := c.start(t, "gamma", true)
+	c.start(t, true)
+	gamma := c.local.Agent("gamma")
 
 	waitFor(t, "traffic", 10*time.Second, func() bool { return c.sink.got.Load() >= 5 })
 
 	coord := NewCoordinator(c.plan, func(node string) (string, error) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.agents[node].MetricsAddr(), nil
+		return c.local.Agent(node).MetricsAddr(), nil
 	})
 
 	st := coord.Status()

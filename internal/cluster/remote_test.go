@@ -104,15 +104,13 @@ func TestCrossNodeBreachPropagation(t *testing.T) {
 		Burst:         10,
 		Policy:        model.Degrade,
 	})
-	defer c.closeAll()
 
 	// The worker overshoots the budget on every message: p99 >> 80%
 	// of 2ms.
 	c.worker.delay.Store(int64(4 * time.Millisecond))
 
-	alpha := c.start(t, "alpha", false)
-	c.start(t, "beta", true)
-	c.start(t, "gamma", false)
+	c.start(t, false)
+	alpha := c.local.Agent("alpha")
 
 	linkName := "link Sensor.out->Worker.in"
 	stats, ok := alpha.Registry().Link(linkName)
@@ -150,7 +148,7 @@ func TestCrossNodeBreachPropagation(t *testing.T) {
 	})
 
 	// The import side counted what it sent.
-	beta := c.agents["beta"]
+	beta := c.local.Agent("beta")
 	bstats, ok := beta.Registry().Link(linkName)
 	if !ok {
 		t.Fatalf("beta registry has no %q", linkName)

@@ -53,11 +53,9 @@ func TestSoakOverloadCrossNodeDegrade(t *testing.T) {
 	// beta's supervisor contributes lifecycle events to the timeline.
 	c.worker.delay.Store(int64(4 * time.Millisecond))
 	c.worker.panicEvery = 25
-	defer c.closeAll()
 
-	alpha := c.start(t, "alpha", false)
-	c.start(t, "beta", false)
-	c.start(t, "gamma", false)
+	c.start(t, false)
+	alpha := c.local.Agent("alpha")
 
 	// On failure, archive whatever the recorders captured: CI uploads
 	// flightrecorder-*.json as a workflow artifact.
@@ -145,7 +143,7 @@ func TestSoakOverloadCrossNodeDegrade(t *testing.T) {
 		gs.Admitted, gs.Shed, gs.Breaches, st.RemoteP99, st.DigestsReceived, len(evs), len(nodes))
 
 	// Phase 4: clean teardown, zero goroutine leaks.
-	c.closeAll()
+	c.local.Close()
 	deadline := time.After(10 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		select {

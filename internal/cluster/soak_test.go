@@ -18,7 +18,6 @@ func TestSoakClusterReconvergence(t *testing.T) {
 
 	c := newTestCluster(t)
 	c.worker.panicEvery = 17
-	defer c.closeAll()
 
 	// On failure, archive the merged cross-node flight-recorder
 	// timeline: CI uploads flightrecorder-*.json as a workflow
@@ -30,9 +29,8 @@ func TestSoakClusterReconvergence(t *testing.T) {
 		}
 	})
 
-	alpha := c.start(t, "alpha", false)
-	beta := c.start(t, "beta", false)
-	c.start(t, "gamma", false)
+	c.start(t, false)
+	alpha := c.local.Agent("alpha")
 
 	// Phase 1: converge under load, with the worker periodically
 	// panicking and being restarted by beta's supervisor.
@@ -43,16 +41,13 @@ func TestSoakClusterReconvergence(t *testing.T) {
 
 	// Phase 2: kill the middle node mid-run. Producers keep running
 	// and shed load via backpressure; nothing may crash.
-	beta.Close()
-	c.mu.Lock()
-	delete(c.agents, "beta")
-	c.mu.Unlock()
+	c.local.Agent("beta").Close()
 	killedAt := c.sink.got.Load()
 	time.Sleep(150 * time.Millisecond)
 
 	// Phase 3: restart beta. It binds a fresh port; the resolver
 	// hands the new address to alpha's reconnecting link writer.
-	c.start(t, "beta", false)
+	c.restart(t, "beta")
 	waitFor(t, "reconvergence after node restart", 20*time.Second,
 		func() bool { return c.sink.got.Load() >= killedAt+60 })
 	if alpha.Reconnects() == 0 {
@@ -60,7 +55,7 @@ func TestSoakClusterReconvergence(t *testing.T) {
 	}
 
 	// Phase 4: clean teardown, zero goroutine leaks.
-	c.closeAll()
+	c.local.Close()
 	deadline := time.After(10 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		select {

@@ -234,55 +234,66 @@ func (b *RTBuffer) Stats() Stats { return b.buf.Stats() }
 func (b *RTBuffer) OnEnqueue(fn func()) { b.buf.OnEnqueue(fn) }
 
 // Enqueue deep-copies payload into a preallocated slot under the
-// producer's allocation context and queues the slot.
-//
-// RTBuffer mirrors the framework's binding topology: each binding has
-// exactly one client and one server, so the buffer is
-// single-producer/single-consumer. Concurrent producers must
-// serialize externally.
+// producer's allocation context and queues the slot. The store and
+// the publish happen in one critical section, so concurrent producers
+// never share a slot and a consumer never sees a half-written one.
 func (b *RTBuffer) Enqueue(ctx *memory.Context, payload any) error {
-	b.buf.mu.Lock()
-	if b.buf.count == b.buf.capacity {
-		switch b.buf.policy {
-		case Refuse:
-			b.buf.stats.Dropped++
-			b.buf.mu.Unlock()
-			return fmt.Errorf("%w: %s (capacity %d)", ErrFull, b.buf.name, b.buf.capacity)
-		case DropNewest:
-			b.buf.stats.Dropped++
-			b.buf.mu.Unlock()
-			return nil
-		case DropOldest:
-			b.buf.head = (b.buf.head + 1) % b.buf.capacity
-			b.buf.count--
-			b.buf.stats.Dropped++
+	v := patterns.CopyValue(payload)
+	q := b.buf
+	q.mu.Lock()
+	full := q.count == q.capacity
+	if full && q.policy != DropOldest {
+		q.stats.Dropped++
+		q.mu.Unlock()
+		if q.policy == Refuse {
+			return fmt.Errorf("%w: %s (capacity %d)", ErrFull, q.name, q.capacity)
 		}
+		return nil
 	}
-	// The slot at the ring position the message will occupy; stable
-	// under SPSC because only this producer can advance the tail.
-	slot := b.slots[(b.buf.head+b.buf.count)%b.buf.capacity]
-	b.buf.mu.Unlock()
-	if err := ctx.Store(slot, patterns.CopyValue(payload)); err != nil {
-		return fmt.Errorf("comm: enqueue on %s: %w", b.buf.name, err)
+	// The tail slot; on a full DropOldest ring it is the oldest
+	// message's, which the store overwrites.
+	if err := ctx.Store(b.slots[(q.head+q.count)%q.capacity], v); err != nil {
+		q.mu.Unlock()
+		return fmt.Errorf("comm: enqueue on %s: %w", q.name, err)
 	}
-	return b.buf.Enqueue(slot)
+	if full {
+		q.head = (q.head + 1) % q.capacity
+		q.stats.Dropped++
+	} else {
+		q.count++
+	}
+	q.stats.Enqueued++
+	if q.count > q.stats.MaxDepth {
+		q.stats.MaxDepth = q.count
+	}
+	fn := q.onEnqueue
+	q.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+	return nil
 }
 
 // Dequeue removes the oldest message and returns its payload,
 // deep-copied out under the consumer's allocation context so the
-// consumer never holds a reference into the buffer's area.
+// consumer never holds a reference into the buffer's area. The slot
+// is loaded before head advances, so no producer can reuse it
+// mid-read. A load the consumer's context forbids still consumes the
+// message: retrying could never succeed.
 func (b *RTBuffer) Dequeue(ctx *memory.Context) (any, bool, error) {
-	v, ok := b.buf.Dequeue()
-	if !ok {
+	q := b.buf
+	q.mu.Lock()
+	if q.count == 0 {
+		q.mu.Unlock()
 		return nil, false, nil
 	}
-	ref, isRef := v.(*memory.Ref)
-	if !isRef {
-		return nil, true, fmt.Errorf("comm: foreign message in rt buffer %s", b.buf.name)
-	}
-	payload, err := ctx.Load(ref)
+	payload, err := ctx.Load(b.slots[q.head])
+	q.head = (q.head + 1) % q.capacity
+	q.count--
+	q.stats.Dequeued++
+	q.mu.Unlock()
 	if err != nil {
-		return nil, true, fmt.Errorf("comm: dequeue on %s: %w", b.buf.name, err)
+		return nil, true, fmt.Errorf("comm: dequeue on %s: %w", q.name, err)
 	}
 	return patterns.CopyValue(payload), true, nil
 }

@@ -2,6 +2,9 @@ package comm
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -304,5 +307,83 @@ func TestStatsReportsInstantDepth(t *testing.T) {
 	// watermark.
 	if st := b.Stats(); st.Depth != 1 || st.MaxDepth != 3 {
 		t.Fatalf("stats after drain = %+v", st)
+	}
+}
+
+// TestRTBufferConcurrentTransfersExactlyOnce streams values through a
+// two-slot ring while the consumer drains it concurrently: every
+// value must arrive exactly once and in its producer's order, with one
+// producer and with two. A slot reused before its load, or claimed by
+// two producers, shows up as a lost message plus a duplicate.
+func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
+	const perProducer = 20000
+	for _, producers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("producers=%d", producers), func(t *testing.T) {
+			rt := memory.NewRuntime()
+			b, err := NewRTBuffer("b", 2, Refuse, rt.Immortal(), 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				ctx, err := memory.NewContext(rt.Immortal(), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ctx.Close()
+				wg.Add(1)
+				go func(p int, ctx *memory.Context) {
+					defer wg.Done()
+					for i := 0; i < perProducer; i++ {
+						for {
+							// Waiting for room first keeps refusals, and
+							// their formatted errors, rare.
+							for b.Len() == b.Cap() {
+								runtime.Gosched()
+							}
+							err := b.Enqueue(ctx, payload{seq: p*perProducer + i})
+							if err == nil {
+								break
+							}
+							if !errors.Is(err, ErrFull) {
+								t.Errorf("producer %d: %v", p, err)
+								return
+							}
+						}
+					}
+				}(p, ctx)
+			}
+			ctx, err := memory.NewContext(rt.Immortal(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctx.Close()
+			next := make([]int, producers)
+			bad := 0
+			for got := 0; got < producers*perProducer; {
+				v, ok, err := b.Dequeue(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					runtime.Gosched()
+					continue
+				}
+				got++
+				seq := v.(payload).seq
+				p, i := seq/perProducer, seq%perProducer
+				if i != next[p] {
+					bad++
+				}
+				next[p] = i + 1
+			}
+			wg.Wait()
+			if bad > 0 {
+				t.Fatalf("%d of %d deliveries out of order, lost or duplicated", bad, producers*perProducer)
+			}
+			if st := b.Stats(); st.Enqueued != int64(producers*perProducer) || st.Depth != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
 	}
 }

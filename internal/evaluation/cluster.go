@@ -12,7 +12,6 @@ import (
 	"soleil/internal/membrane"
 	"soleil/internal/model"
 	"soleil/internal/rtsj/thread"
-	"soleil/internal/trace"
 )
 
 // Panel (d) extends the paper's evaluation to the cluster deployment
@@ -145,10 +144,10 @@ func pingPongArch() (*model.Architecture, error) {
 	}
 	for _, b := range []model.Binding{
 		{Client: model.Endpoint{Component: "Pinger", Interface: "out"},
-			Server: model.Endpoint{Component: "Echo", Interface: "in"},
+			Server:   model.Endpoint{Component: "Echo", Interface: "in"},
 			Protocol: model.Asynchronous, BufferSize: 128, Pattern: "deep-copy"},
 		{Client: model.Endpoint{Component: "Echo", Interface: "back"},
-			Server: model.Endpoint{Component: "Pinger", Interface: "ack"},
+			Server:   model.Endpoint{Component: "Pinger", Interface: "ack"},
 			Protocol: model.Asynchronous, BufferSize: 128, Pattern: "deep-copy"},
 	} {
 		if _, err := a.Bind(b); err != nil {
@@ -207,48 +206,20 @@ func MeasureClusterScenario(scenario string, messages, inflight int) (ClusterRes
 		return ClusterResult{}, err
 	}
 
-	// Ephemeral ports: every agent listens on :0 and the resolver maps
-	// node names to whatever got bound.
-	var mu sync.Mutex
-	addrs := make(map[string]string)
-	resolve := func(node string) (string, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		addr, ok := addrs[node]
-		if !ok {
-			return "", fmt.Errorf("node %s not up yet", node)
-		}
-		return addr, nil
+	lc, err := cluster.StartLocal(plan, cluster.AgentConfig{
+		Registry: reg,
+		// Tight sporadic polling so the in-process variant's release
+		// latency is pacing, not the 2ms default.
+		Pacer: assembly.PacerOptions{SporadicPoll: 100 * time.Microsecond},
+	})
+	if err != nil {
+		return ClusterResult{}, err
 	}
-	var agents []*cluster.Agent
-	defer func() {
-		for _, ag := range agents {
-			ag.Close()
-		}
-	}()
-	for _, np := range plan.Nodes() {
-		ag, err := cluster.Start(cluster.AgentConfig{
-			Node:     np.Name,
-			Plan:     plan,
-			Registry: reg,
-			Resolver: resolve,
-			Dial:     dist.DialConfig{Timeout: 2 * time.Second, Base: time.Millisecond, Max: 20 * time.Millisecond},
-			// Tight sporadic polling so the in-process variant's
-			// release latency is pacing, not the 2ms default.
-			Pacer: assembly.PacerOptions{SporadicPoll: 100 * time.Microsecond},
-		})
-		if err != nil {
-			return ClusterResult{}, err
-		}
-		mu.Lock()
-		addrs[np.Name] = ag.Addr()
-		mu.Unlock()
-		agents = append(agents, ag)
-	}
+	defer lc.Close()
 
 	// Seed the closed loop through the pinger's own dataplane.
 	var pingNode *cluster.Agent
-	for _, ag := range agents {
+	for _, ag := range lc.Agents() {
 		if _, ok := ag.System().Node("Pinger"); ok {
 			pingNode = ag
 		}
@@ -277,7 +248,7 @@ func MeasureClusterScenario(scenario string, messages, inflight int) (ClusterRes
 	elapsed := time.Since(start)
 
 	samples := pinger.samples()
-	sum := trace.Summarize(samples)
+	sum := Summarize(samples)
 	return ClusterResult{
 		Scenario:   scenario,
 		Messages:   len(samples),

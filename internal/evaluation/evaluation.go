@@ -21,7 +21,6 @@ import (
 	"soleil/internal/rtsj/memory"
 	"soleil/internal/rtsj/thread"
 	"soleil/internal/scenario"
-	"soleil/internal/trace"
 )
 
 // Defaults of the paper's benchmarking method.
@@ -141,23 +140,26 @@ func NewFramework(mode assembly.Mode) (*Variant, error) {
 // TimingResult is one variant's Fig. 7(a)/(b) measurement.
 type TimingResult struct {
 	Variant string
-	Summary trace.Summary
+	Summary Summary
 	Samples []time.Duration
 }
 
 // MeasureTiming runs warmup+observations transactions on v and
-// summarizes the steady-state samples.
+// summarizes the steady-state samples: the first warmup (cold-start)
+// timings are discarded.
 func MeasureTiming(v *Variant, warmup, observations int) (TimingResult, error) {
-	col := trace.NewCollector(warmup, observations)
-	total := warmup + observations
-	for i := 0; i < total; i++ {
+	samples := make([]time.Duration, 0, observations)
+	for i := 0; i < warmup+observations; i++ {
 		start := time.Now()
 		if err := v.Transaction(); err != nil {
 			return TimingResult{}, fmt.Errorf("%s transaction %d: %w", v.Name, i, err)
 		}
-		col.Record(time.Since(start))
+		d := time.Since(start)
+		if i >= warmup {
+			samples = append(samples, d)
+		}
 	}
-	return TimingResult{Variant: v.Name, Summary: col.Summarize(), Samples: col.Samples()}, nil
+	return TimingResult{Variant: v.Name, Summary: Summarize(samples), Samples: samples}, nil
 }
 
 // MeasureAllTimings measures every variant in the paper's order.
@@ -189,7 +191,7 @@ type FootprintResult struct {
 // MeasureFootprint builds the named variant under heap accounting.
 func MeasureFootprint(name string) (FootprintResult, error) {
 	var buildErr error
-	bytes, kept := trace.MeasureFootprint(func() any {
+	bytes, kept := heapGrowth(func() any {
 		v, err := New(name)
 		if err != nil {
 			buildErr = err

@@ -2,6 +2,7 @@ package evaluation
 
 import (
 	"testing"
+	"time"
 )
 
 func TestUnknownVariant(t *testing.T) {
@@ -58,6 +59,30 @@ func TestMeasureTiming(t *testing.T) {
 	}
 	if r.Variant != "ULTRA-MERGE" {
 		t.Fatalf("variant = %s", r.Variant)
+	}
+}
+
+func TestMeasureTimingDiscardsWarmup(t *testing.T) {
+	// The cold-start prefix is discarded: none of the slow warmup
+	// transactions is among the samples, and exactly the asked-for number
+	// of steady-state samples is kept.
+	const slow = 20 * time.Millisecond
+	n := 0
+	coldStart := &Variant{Name: "cold-start", Transaction: func() error {
+		if n++; n <= 3 {
+			time.Sleep(slow)
+		}
+		return nil
+	}}
+	r, err := MeasureTiming(coldStart, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 8 {
+		t.Fatalf("transactions run = %d, want 3 warmup + 5 observed", n)
+	}
+	if len(r.Samples) != 5 || r.Summary.N != 5 || r.Summary.Max >= slow {
+		t.Fatalf("warmup not discarded: %d samples, %+v", len(r.Samples), r.Summary)
 	}
 }
 

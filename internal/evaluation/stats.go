@@ -1,8 +1,8 @@
-// Package trace implements the paper's benchmarking method (Sect.
-// 5.1): steady-state observation collection (cold-start transients
-// discarded), execution-time distributions, median and jitter
-// summaries, and memory-footprint measurement.
-package trace
+package evaluation
+
+// The statistics of the paper's benchmarking method (Sect. 5.1):
+// execution-time summaries (median, jitter, percentiles), histograms,
+// distribution-shape distances and memory-footprint accounting.
 
 import (
 	"fmt"
@@ -12,47 +12,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Collector accumulates execution-time observations.
-type Collector struct {
-	warmup   int
-	seen     int
-	samples  []time.Duration
-	capacity int
-}
-
-// NewCollector creates a collector that discards the first warmup
-// observations (cold start) and keeps at most capacity steady-state
-// samples (0 = unbounded).
-func NewCollector(warmup, capacity int) *Collector {
-	c := &Collector{warmup: warmup, capacity: capacity}
-	if capacity > 0 {
-		c.samples = make([]time.Duration, 0, capacity)
-	}
-	return c
-}
-
-// Record adds one observation.
-func (c *Collector) Record(d time.Duration) {
-	c.seen++
-	if c.seen <= c.warmup {
-		return
-	}
-	if c.capacity > 0 && len(c.samples) >= c.capacity {
-		return
-	}
-	c.samples = append(c.samples, d)
-}
-
-// Len returns the number of retained steady-state samples.
-func (c *Collector) Len() int { return len(c.samples) }
-
-// Samples returns a copy of the retained samples in arrival order.
-func (c *Collector) Samples() []time.Duration {
-	out := make([]time.Duration, len(c.samples))
-	copy(out, c.samples)
-	return out
-}
 
 // Summary condenses a sample set the way Fig. 7(b) reports it.
 type Summary struct {
@@ -66,11 +25,6 @@ type Summary struct {
 	// Jitter is the mean absolute deviation from the median — the
 	// "average jitter" of Fig. 7(b).
 	Jitter time.Duration
-}
-
-// Summarize computes the summary of the retained samples.
-func (c *Collector) Summarize() Summary {
-	return Summarize(c.samples)
 }
 
 // Summarize computes summary statistics over samples.
@@ -125,12 +79,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 type Bucket struct {
 	Lo, Hi time.Duration
 	Count  int
-}
-
-// Histogram buckets the retained samples into n equal-width bins
-// between min and max.
-func (c *Collector) Histogram(n int) []Bucket {
-	return Histogram(c.samples, n)
 }
 
 // Histogram buckets samples into n equal-width bins.
@@ -260,12 +208,12 @@ func center(s []time.Duration) []time.Duration {
 	return out
 }
 
-// MeasureFootprint reports the live-heap growth attributable to
-// build: it garbage-collects, snapshots the heap, runs build, garbage-
-// collects again and diffs. The built value is returned so it stays
-// reachable across the final collection (and so callers can keep it
-// alive afterwards).
-func MeasureFootprint(build func() any) (bytes int64, kept any) {
+// heapGrowth reports the live-heap growth attributable to build: it
+// garbage-collects, snapshots the heap, runs build, garbage-collects
+// again and diffs. The built value is returned so it stays reachable
+// across the final collection (and so callers can keep it alive
+// afterwards).
+func heapGrowth(build func() any) (bytes int64, kept any) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

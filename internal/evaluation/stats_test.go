@@ -1,4 +1,4 @@
-package trace
+package evaluation
 
 import (
 	"sort"
@@ -7,33 +7,6 @@ import (
 	"testing/quick"
 	"time"
 )
-
-func TestCollectorWarmupAndCapacity(t *testing.T) {
-	c := NewCollector(3, 5)
-	for i := 1; i <= 12; i++ {
-		c.Record(time.Duration(i))
-	}
-	if c.Len() != 5 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	got := c.Samples()
-	want := []time.Duration{4, 5, 6, 7, 8}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("samples = %v", got)
-		}
-	}
-}
-
-func TestCollectorUnbounded(t *testing.T) {
-	c := NewCollector(0, 0)
-	for i := 0; i < 100; i++ {
-		c.Record(time.Duration(i))
-	}
-	if c.Len() != 100 {
-		t.Fatalf("len = %d", c.Len())
-	}
-}
 
 func TestSummarize(t *testing.T) {
 	samples := []time.Duration{10, 20, 30, 40, 50}
@@ -136,9 +109,9 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestMeasureFootprint(t *testing.T) {
+func TestHeapGrowth(t *testing.T) {
 	const size = 1 << 20
-	bytes, kept := MeasureFootprint(func() any {
+	bytes, kept := heapGrowth(func() any {
 		return make([]byte, size)
 	})
 	if kept == nil {

@@ -8,116 +8,20 @@
 //   - Injector wraps a dist transport with deterministic, seeded
 //     fault injection (drop / delay / duplicate / corrupt) so failure
 //     scenarios replay exactly;
-//   - PanicInterceptor converts content panics into recorded faults
-//     and flips the component's lifecycle to FAILED instead of
-//     crashing the process;
+//   - PanicInterceptor converts content panics into a FAILED
+//     lifecycle state instead of crashing the process; the lifecycle
+//     controller counts the failure and records it in the flight
+//     recorder;
 //   - RetryPort, TimeoutPort and BreakerPort harden distributed
 //     bindings with exponential backoff, per-call deadlines and a
 //     circuit breaker;
-//   - Supervisor watches per-component health signals (recorded
-//     faults, buffer overflow rate, deadline misses, latency) and
-//     applies restart policies (one-for-one restart, quarantine,
-//     escalate) through the reconfiguration manager.
+//   - Supervisor polls per-component health probes (FAILED lifecycle,
+//     queue overflow rate, deadline misses, latency) and applies
+//     restart policies (one-for-one restart, quarantine, escalate)
+//     through the reconfiguration manager.
 package fault
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"time"
-)
-
-// Kind classifies a recorded fault.
-type Kind string
-
-// Fault kinds.
-const (
-	// Panic is a recovered panic in component content.
-	Panic Kind = "panic"
-	// Injected is a deliberately injected fault (chaos testing).
-	Injected Kind = "injected"
-	// Transport is a transport-level fault (drop, corrupt, ...).
-	Transport Kind = "transport"
-	// Invocation is a failed invocation on a hardened binding.
-	Invocation Kind = "invocation"
-)
+import "errors"
 
 // ErrPanic wraps a recovered component panic.
 var ErrPanic = errors.New("fault: component panicked")
-
-// Fault is one recorded failure event.
-type Fault struct {
-	At        time.Time
-	Kind      Kind
-	Component string
-	// Op is the interface.operation the fault occurred on, when known.
-	Op     string
-	Detail string
-}
-
-func (f Fault) String() string {
-	if f.Op != "" {
-		return fmt.Sprintf("[%s] %s %s: %s", f.Kind, f.Component, f.Op, f.Detail)
-	}
-	return fmt.Sprintf("[%s] %s: %s", f.Kind, f.Component, f.Detail)
-}
-
-// Log is a bounded, concurrency-safe record of faults — the
-// subsystem's shared flight recorder. When the bound is reached the
-// oldest entries are discarded (the counters keep the totals).
-type Log struct {
-	mu      sync.Mutex
-	faults  []Fault
-	cap     int
-	total   int64
-	byKind  map[Kind]int64
-	dropped int64
-}
-
-// NewLog creates a fault log retaining at most capacity entries
-// (default 256 when capacity <= 0).
-func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &Log{cap: capacity, byKind: make(map[Kind]int64)}
-}
-
-// Record appends one fault.
-func (l *Log) Record(f Fault) {
-	if f.At.IsZero() {
-		f.At = time.Now()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total++
-	l.byKind[f.Kind]++
-	if len(l.faults) >= l.cap {
-		l.faults = l.faults[1:]
-		l.dropped++
-	}
-	l.faults = append(l.faults, f)
-}
-
-// Faults returns a copy of the retained faults in arrival order.
-func (l *Log) Faults() []Fault {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Fault, len(l.faults))
-	copy(out, l.faults)
-	return out
-}
-
-// Total returns the number of faults recorded over the log's life.
-func (l *Log) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// CountByKind returns the lifetime count of one fault kind.
-func (l *Log) CountByKind(k Kind) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.byKind[k]
-}

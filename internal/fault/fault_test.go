@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"soleil/internal/comm"
 	"soleil/internal/membrane"
 	"soleil/internal/rtsj/thread"
 )
@@ -74,7 +74,7 @@ func (m *memTransport) payloads() [][]byte {
 func runInjector(t *testing.T, spec Spec, n int) (*Injector, *memTransport) {
 	t.Helper()
 	inner := &memTransport{}
-	inj, err := InjectTransport(inner, spec, nil)
+	inj, err := InjectTransport(inner, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,46 +135,11 @@ func TestInjectorFaultKinds(t *testing.T) {
 		t.Fatalf("corrupt=1 delivered pristine payload %v", got)
 	}
 	// Rates outside [0,1] are refused.
-	if _, err := InjectTransport(&memTransport{}, Spec{Drop: 1.5}, nil); err == nil {
+	if _, err := InjectTransport(&memTransport{}, Spec{Drop: 1.5}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	if _, err := InjectTransport(nil, Spec{}, nil); err == nil {
+	if _, err := InjectTransport(nil, Spec{}); err == nil {
 		t.Fatal("nil transport accepted")
-	}
-}
-
-func TestInjectorRecordsToLog(t *testing.T) {
-	log := NewLog(0)
-	inner := &memTransport{}
-	inj, err := InjectTransport(inner, Spec{Drop: 1}, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = inj.Send([]byte("x"))
-	if log.Total() != 1 || log.CountByKind(Transport) != 1 {
-		t.Fatalf("log: total=%d transport=%d", log.Total(), log.CountByKind(Transport))
-	}
-}
-
-// --- fault log ---------------------------------------------------------------------
-
-func TestLogBoundsRetention(t *testing.T) {
-	log := NewLog(4)
-	for i := 0; i < 10; i++ {
-		log.Record(Fault{Kind: Panic, Component: "C", Detail: fmt.Sprintf("f%d", i)})
-	}
-	if log.Total() != 10 {
-		t.Fatalf("total = %d", log.Total())
-	}
-	faults := log.Faults()
-	if len(faults) != 4 {
-		t.Fatalf("retained %d, want 4", len(faults))
-	}
-	if faults[0].Detail != "f6" || faults[3].Detail != "f9" {
-		t.Fatalf("retained wrong window: %v ... %v", faults[0].Detail, faults[3].Detail)
-	}
-	if log.CountByKind(Panic) != 10 {
-		t.Fatalf("panic count survives eviction: %d", log.CountByKind(Panic))
 	}
 }
 
@@ -404,11 +369,7 @@ func (b *bombContent) Invoke(env *thread.Env, itf, op string, arg any) (any, err
 }
 
 func TestPanicInterceptorIsolatesComponent(t *testing.T) {
-	log := NewLog(0)
-	var notified []Fault
-	pi := NewPanicInterceptor("C", log, func(component string, f Fault) {
-		notified = append(notified, f)
-	})
+	pi := NewPanicInterceptor("C")
 	content := &bombContent{}
 	m, err := membrane.New("C", content, pi)
 	if err != nil {
@@ -422,14 +383,11 @@ func TestPanicInterceptorIsolatesComponent(t *testing.T) {
 	}
 	// The panic is converted, not propagated.
 	_, err = m.Dispatch(&membrane.Invocation{Interface: "in", Op: "boom"})
-	if !errors.Is(err, ErrPanic) {
+	if !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), "C on in.boom: kaboom") {
 		t.Fatalf("panic dispatch: %v", err)
 	}
-	if pi.Recovered() != 1 || log.CountByKind(Panic) != 1 || len(notified) != 1 {
-		t.Fatalf("recovered=%d logged=%d notified=%d", pi.Recovered(), log.CountByKind(Panic), len(notified))
-	}
-	if notified[0].Component != "C" || notified[0].Op != "in.boom" {
-		t.Fatalf("notified fault = %+v", notified[0])
+	if pi.Recovered() != 1 {
+		t.Fatalf("recovered = %d", pi.Recovered())
 	}
 	// The component is FAILED: further invocations are refused with the cause.
 	if failed, cause := m.Lifecycle().Failure(); !failed || !errors.Is(cause, ErrPanic) {
@@ -499,33 +457,38 @@ func (f *fakeRestarter) Stop(c string) error {
 	return f.err
 }
 
-func TestSupervisorRestartsOnNotify(t *testing.T) {
+// faultSignal is a probe the test raises by hand: the next poll sees
+// the component unhealthy once, as after a fresh failure.
+type faultSignal struct{ raised atomic.Bool }
+
+func (f *faultSignal) raise() { f.raised.Store(true) }
+
+func (f *faultSignal) probe() Health {
+	if f.raised.Swap(false) {
+		return Health{Reason: "kaboom"}
+	}
+	return healthyState
+}
+
+func TestSupervisorRestartsOnProbe(t *testing.T) {
 	r := &fakeRestarter{}
-	log := NewLog(0)
-	sup, err := NewSupervisor(r, WithLog(log))
+	sup, err := NewSupervisor(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.Watch("C", Policy{Directive: RestartOneForOne})
-	sup.Notify("C", Fault{Kind: Panic, Component: "C", Detail: "kaboom"})
+	var c faultSignal
+	sup.Watch("C", Policy{Directive: RestartOneForOne}, c.probe)
+	c.raise()
 	acted := sup.Poll()
-	if len(acted) != 1 || acted[0].Kind != "restart" || acted[0].Component != "C" {
+	if len(acted) != 1 || acted[0].Kind != "restart" || acted[0].Component != "C" || acted[0].Reason != "kaboom" {
 		t.Fatalf("actions = %+v", acted)
 	}
 	if len(r.restarts) != 1 {
 		t.Fatalf("restarts = %v", r.restarts)
 	}
-	if log.Total() != 1 {
-		t.Fatalf("notify not logged: %d", log.Total())
-	}
-	// Nothing pending: the next poll is quiet.
+	// Healthy again: the next poll is quiet.
 	if acted := sup.Poll(); len(acted) != 0 {
 		t.Fatalf("quiet poll acted: %+v", acted)
-	}
-	// Faults for unwatched components are logged but not acted on.
-	sup.Notify("Ghost", Fault{Kind: Panic, Component: "Ghost"})
-	if acted := sup.Poll(); len(acted) != 0 {
-		t.Fatalf("acted on unwatched component: %+v", acted)
 	}
 }
 
@@ -539,16 +502,17 @@ func TestSupervisorQuarantinesAfterBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.Watch("C", Policy{Directive: RestartOneForOne, MaxRestarts: 2, Window: time.Minute})
+	var c faultSignal
+	sup.Watch("C", Policy{Directive: RestartOneForOne, MaxRestarts: 2, Window: time.Minute}, c.probe)
 	for i := 0; i < 2; i++ {
-		sup.Notify("C", Fault{Kind: Panic, Component: "C"})
+		c.raise()
 		if acted := sup.Poll(); acted[0].Kind != "restart" {
 			t.Fatalf("round %d: %+v", i, acted)
 		}
 		now = now.Add(time.Second)
 	}
 	// Budget exhausted within the window: quarantine + escalate.
-	sup.Notify("C", Fault{Kind: Panic, Component: "C"})
+	c.raise()
 	acted := sup.Poll()
 	if len(acted) != 1 || acted[0].Kind != "quarantine" {
 		t.Fatalf("exhausted budget: %+v", acted)
@@ -557,18 +521,19 @@ func TestSupervisorQuarantinesAfterBudget(t *testing.T) {
 		t.Fatalf("quarantined=%v stops=%v escalated=%v", sup.Quarantined("C"), r.stops, escalated)
 	}
 	// Quarantined components are left alone.
-	sup.Notify("C", Fault{Kind: Panic, Component: "C"})
+	c.raise()
 	if acted := sup.Poll(); len(acted) != 0 {
 		t.Fatalf("acted on quarantined component: %+v", acted)
 	}
 	// Outside the window the budget would have been available again:
 	// restart history pruning is per-window.
 	sup2, _ := NewSupervisor(r, WithClock(func() time.Time { return now }))
-	sup2.Watch("D", Policy{Directive: RestartOneForOne, MaxRestarts: 1, Window: time.Second})
-	sup2.Notify("D", Fault{Kind: Panic, Component: "D"})
+	var d faultSignal
+	sup2.Watch("D", Policy{Directive: RestartOneForOne, MaxRestarts: 1, Window: time.Second}, d.probe)
+	d.raise()
 	sup2.Poll()
 	now = now.Add(2 * time.Second) // first restart ages out
-	sup2.Notify("D", Fault{Kind: Panic, Component: "D"})
+	d.raise()
 	if acted := sup2.Poll(); len(acted) != 1 || acted[0].Kind != "restart" {
 		t.Fatalf("aged-out budget: %+v", acted)
 	}
@@ -581,10 +546,11 @@ func TestSupervisorDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.Watch("Q", Policy{Directive: Quarantine})
-	sup.Watch("E", Policy{Directive: Escalate})
-	sup.Notify("Q", Fault{Kind: Panic, Component: "Q"})
-	sup.Notify("E", Fault{Kind: Panic, Component: "E"})
+	var q, e faultSignal
+	sup.Watch("Q", Policy{Directive: Quarantine}, q.probe)
+	sup.Watch("E", Policy{Directive: Escalate}, e.probe)
+	q.raise()
+	e.raise()
 	acted := sup.Poll()
 	if len(acted) != 2 {
 		t.Fatalf("actions = %+v", acted)
@@ -613,10 +579,11 @@ func TestSupervisorBackgroundLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.Watch("C", Policy{Directive: RestartOneForOne, MaxRestarts: 100})
+	var c faultSignal
+	sup.Watch("C", Policy{Directive: RestartOneForOne, MaxRestarts: 100}, c.probe)
 	sup.Start(time.Millisecond)
 	defer sup.Close()
-	sup.Notify("C", Fault{Kind: Panic, Component: "C"})
+	c.raise()
 	deadline := time.After(2 * time.Second)
 	for {
 		r.mu.Lock()
@@ -647,25 +614,6 @@ func TestFailureProbe(t *testing.T) {
 	failed, cause = true, errors.New("kaboom")
 	if h := p(); h.Healthy || !strings.Contains(h.Reason, "kaboom") {
 		t.Fatalf("failed component not flagged: %+v", h)
-	}
-}
-
-func TestOverflowProbeWatchesDeltas(t *testing.T) {
-	stats := comm.Stats{Enqueued: 100}
-	p := OverflowProbe("buf", func() comm.Stats { return stats }, 0.05)
-	if h := p(); !h.Healthy { // first window: no drops
-		t.Fatalf("clean window flagged: %+v", h)
-	}
-	stats.Enqueued, stats.Dropped = 150, 20 // 20/70 dropped this window
-	if h := p(); h.Healthy {
-		t.Fatal("28% overflow window not flagged")
-	}
-	stats.Enqueued = 250 // next window clean again: the probe resets
-	if h := p(); !h.Healthy {
-		t.Fatalf("recovered window flagged: %+v", h)
-	}
-	if h := p(); !h.Healthy { // idle window (nothing offered)
-		t.Fatalf("idle window flagged: %+v", h)
 	}
 }
 

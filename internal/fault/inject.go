@@ -114,7 +114,6 @@ type InjectorStats struct {
 type Injector struct {
 	inner dist.Transport
 	spec  Spec
-	log   *Log
 	sleep func(time.Duration)
 
 	mu    sync.Mutex
@@ -124,9 +123,9 @@ type Injector struct {
 
 var _ dist.Transport = (*Injector)(nil)
 
-// InjectTransport wraps t with fault injection. log may be nil; the
-// injector then only keeps counters.
-func InjectTransport(t dist.Transport, spec Spec, log *Log) (*Injector, error) {
+// InjectTransport wraps t with fault injection; Stats counts what it
+// injected.
+func InjectTransport(t dist.Transport, spec Spec) (*Injector, error) {
 	if t == nil {
 		return nil, fmt.Errorf("fault: injector needs a transport")
 	}
@@ -139,7 +138,6 @@ func InjectTransport(t dist.Transport, spec Spec, log *Log) (*Injector, error) {
 	return &Injector{
 		inner: t,
 		spec:  spec,
-		log:   log,
 		sleep: time.Sleep,
 		rng:   rand.New(rand.NewSource(spec.Seed)),
 	}, nil
@@ -178,21 +176,13 @@ func (j *Injector) decide() (drop, delay, dup, corrupt bool, corruptAt int) {
 	return drop, delay, dup, corrupt, corruptAt
 }
 
-func (j *Injector) record(detail string) {
-	if j.log != nil {
-		j.log.Record(Fault{Kind: Transport, Component: "transport", Detail: detail})
-	}
-}
-
 // Send implements dist.Transport, applying the injection spec.
 func (j *Injector) Send(payload []byte) error {
 	drop, delay, dup, corrupt, corruptAt := j.decide()
 	if drop {
-		j.record("dropped message")
 		return nil // the network ate it; the sender cannot tell
 	}
 	if delay {
-		j.record(fmt.Sprintf("delayed message by %v", j.spec.DelayFor))
 		j.sleep(j.spec.DelayFor)
 	}
 	out := payload
@@ -200,13 +190,11 @@ func (j *Injector) Send(payload []byte) error {
 		out = make([]byte, len(payload))
 		copy(out, payload)
 		out[corruptAt%len(out)] ^= 0xFF
-		j.record("corrupted message")
 	}
 	if err := j.inner.Send(out); err != nil {
 		return err
 	}
 	if dup {
-		j.record("duplicated message")
 		return j.inner.Send(out)
 	}
 	return nil

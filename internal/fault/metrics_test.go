@@ -19,11 +19,12 @@ func TestSupervisorMirrorsIntoRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.Watch("C", Policy{Directive: RestartOneForOne, MaxRestarts: 2, Window: time.Minute})
+	var c faultSignal
+	sup.Watch("C", Policy{Directive: RestartOneForOne, MaxRestarts: 2, Window: time.Minute}, c.probe)
 
 	cm := reg.Component("C")
 	for i := 0; i < 2; i++ {
-		sup.Notify("C", Fault{Kind: Panic, Component: "C"})
+		c.raise()
 		if acted := sup.Poll(); len(acted) != 1 || acted[0].Kind != "restart" {
 			t.Fatalf("round %d: %+v", i, acted)
 		}
@@ -38,7 +39,7 @@ func TestSupervisorMirrorsIntoRegistry(t *testing.T) {
 
 	// Budget exhausted: the quarantine flips the component's health,
 	// which is what turns /healthz to 503.
-	sup.Notify("C", Fault{Kind: Panic, Component: "C"})
+	c.raise()
 	if acted := sup.Poll(); len(acted) != 1 || acted[0].Kind != "quarantine" {
 		t.Fatalf("exhausted budget: %+v", acted)
 	}

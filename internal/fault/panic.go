@@ -10,7 +10,7 @@ import (
 )
 
 // PanicInterceptor is a membrane control component that converts
-// content panics into recorded faults: the panic is recovered, the
+// content panics into failures: the panic is recovered, the
 // component's lifecycle flips to FAILED (isolating it from further
 // invocations until a supervisor restarts it), and the invocation
 // fails with ErrPanic instead of crashing the process.
@@ -20,8 +20,6 @@ import (
 // lifecycle controller automatically (membrane.LifecycleAware).
 type PanicInterceptor struct {
 	component string
-	log       *Log
-	notify    func(component string, f Fault)
 	lc        *membrane.LifecycleController
 	recovered int64
 }
@@ -31,11 +29,9 @@ var (
 	_ membrane.LifecycleAware = (*PanicInterceptor)(nil)
 )
 
-// NewPanicInterceptor creates the interceptor for one component. log
-// and notify may be nil; notify is called (outside any membrane lock)
-// after each recovered panic — the supervisor's push signal.
-func NewPanicInterceptor(component string, log *Log, notify func(string, Fault)) *PanicInterceptor {
-	return &PanicInterceptor{component: component, log: log, notify: notify}
+// NewPanicInterceptor creates the interceptor for one component.
+func NewPanicInterceptor(component string) *PanicInterceptor {
+	return &PanicInterceptor{component: component}
 }
 
 // Name implements membrane.Interceptor.
@@ -55,17 +51,9 @@ func (p *PanicInterceptor) Invoke(inv *membrane.Invocation, next membrane.Handle
 			return
 		}
 		atomic.AddInt64(&p.recovered, 1)
-		op := inv.Interface + "." + inv.Op
-		f := Fault{Kind: Panic, Component: p.component, Op: op, Detail: fmt.Sprint(r)}
-		if p.log != nil {
-			p.log.Record(f)
-		}
-		cause := fmt.Errorf("%w: %s on %s: %v", ErrPanic, p.component, op, r)
+		cause := fmt.Errorf("%w: %s on %s.%s: %v", ErrPanic, p.component, inv.Interface, inv.Op, r)
 		if p.lc != nil {
 			p.lc.Fail(cause)
-		}
-		if p.notify != nil {
-			p.notify(p.component, f)
 		}
 		res, err = nil, cause
 	}()

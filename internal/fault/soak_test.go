@@ -95,8 +95,9 @@ func soakProducer(t *testing.T, content membrane.Content) *assembly.System {
 	return sys
 }
 
-// soakConsumer deploys a passive sink guarded by a PanicInterceptor.
-func soakConsumer(t *testing.T, content membrane.Content, log *Log) *assembly.System {
+// soakConsumer deploys a passive sink guarded by the returned
+// PanicInterceptor.
+func soakConsumer(t *testing.T, content membrane.Content) (*assembly.System, *PanicInterceptor) {
 	t.Helper()
 	a := model.NewArchitecture("soak-consumer")
 	snk, err := a.NewPassive("Sink")
@@ -117,17 +118,18 @@ func soakConsumer(t *testing.T, content membrane.Content, log *Log) *assembly.Sy
 	if err := reg.Register("SinkImpl", func() membrane.Content { return content }); err != nil {
 		t.Fatal(err)
 	}
+	guard := NewPanicInterceptor("Sink")
 	sys, err := assembly.Deploy(a, assembly.Config{
 		Mode:     assembly.Soleil,
 		Registry: reg,
 		Interceptors: func(component string) []membrane.Interceptor {
-			return []membrane.Interceptor{NewPanicInterceptor(component, log, nil)}
+			return []membrane.Interceptor{guard}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return sys, guard
 }
 
 // TestSoakDistributedSupervision is the acceptance scenario: two
@@ -141,14 +143,13 @@ func TestSoakDistributedSupervision(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	const frames = 400
-	log := NewLog(0)
 	src := &soakSource{}
 	snk := &soakSink{panicEvery: 13}
 	producer := soakProducer(t, src)
-	consumer := soakConsumer(t, snk, log)
+	consumer, guard := soakConsumer(t, snk)
 
 	a, b := dist.NewPipe()
-	inj, err := InjectTransport(a, Spec{Drop: 0.02, Duplicate: 0.02, Corrupt: 0.02, Seed: 1}, log)
+	inj, err := InjectTransport(a, Spec{Drop: 0.02, Duplicate: 0.02, Corrupt: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestSoakDistributedSupervision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := NewSupervisor(mgr, WithLog(log))
+	sup, err := NewSupervisor(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +233,8 @@ func TestSoakDistributedSupervision(t *testing.T) {
 	if atomic.LoadInt64(&snk.inits) < 2 {
 		t.Fatal("sink was never re-initialized by a restart")
 	}
-	if log.CountByKind(Panic) == 0 || inj.Stats().Dropped == 0 {
-		t.Fatalf("scenario did not exercise faults: %+v, panics=%d", inj.Stats(), log.CountByKind(Panic))
+	if guard.Recovered() == 0 || inj.Stats().Dropped == 0 {
+		t.Fatalf("scenario did not exercise faults: %+v, panics=%d", inj.Stats(), guard.Recovered())
 	}
 	if sup.Quarantined("Sink") {
 		t.Fatal("sink quarantined despite a generous budget")
@@ -259,9 +260,8 @@ func TestSoakDistributedSupervision(t *testing.T) {
 // a real deployment: panic -> FAILED -> supervisor poll -> audited
 // reconfig restart -> component serving again.
 func TestSupervisorHealsDeployedComponent(t *testing.T) {
-	log := NewLog(0)
 	snk := &soakSink{panicEvery: 13} // panics on tick 13 below
-	sys := soakConsumer(t, snk, log)
+	sys, guard := soakConsumer(t, snk)
 	if err := sys.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestSupervisorHealsDeployedComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := NewSupervisor(mgr, WithLog(log))
+	sup, err := NewSupervisor(mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,8 @@ func TestSupervisorHealsDeployedComponent(t *testing.T) {
 	if _, err := node.Invoke(env, "in", "tick", soakTick{Seq: 13}); !errors.Is(err, ErrPanic) {
 		t.Fatalf("panic invoke: %v", err)
 	}
-	if failed, cause := sys.ComponentFailed("Sink"); !failed || !errors.Is(cause, ErrPanic) {
-		t.Fatalf("component not FAILED: %v, %v", failed, cause)
+	if failed, cause := sys.ComponentFailed("Sink"); !failed || !errors.Is(cause, ErrPanic) || guard.Recovered() != 1 {
+		t.Fatalf("component not FAILED: %v, %v (recovered %d)", failed, cause, guard.Recovered())
 	}
 	// While FAILED, invocations are refused with the recorded cause.
 	if _, err := node.Invoke(env, "in", "tick", soakTick{Seq: 2}); !errors.Is(err, membrane.ErrFailed) {

@@ -5,9 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"soleil/internal/comm"
 	"soleil/internal/obs"
-	"soleil/internal/trace"
 )
 
 // Restarter applies lifecycle operations to components — the
@@ -99,18 +97,15 @@ func (a Action) String() string {
 type watch struct {
 	policy      Policy
 	probes      []Probe
-	pending     []Fault
 	restarts    []time.Time
 	quarantined bool
 }
 
-// Supervisor watches per-component health signals — pushed faults
-// (from panic interceptors or hardened bindings) and polled probes
-// (buffer overflow rate, deadline misses, latency) — and applies its
+// Supervisor polls per-component health probes (FAILED lifecycle,
+// queue overflow rate, deadline misses, latency) and applies its
 // restart policies through a Restarter.
 type Supervisor struct {
 	restarter  Restarter
-	log        *Log
 	now        func() time.Time
 	onEscalate func(component, reason string)
 	metrics    *obs.Registry
@@ -126,11 +121,6 @@ type Supervisor struct {
 
 // SupervisorOption configures a Supervisor.
 type SupervisorOption func(*Supervisor)
-
-// WithLog records every fault the supervisor sees into log.
-func WithLog(log *Log) SupervisorOption {
-	return func(s *Supervisor) { s.log = log }
-}
 
 // WithClock injects the supervisor's clock (tests).
 func WithClock(now func() time.Time) SupervisorOption {
@@ -170,19 +160,6 @@ func (s *Supervisor) Watch(component string, policy Policy, probes ...Probe) {
 	w.probes = probes
 }
 
-// Notify pushes a fault for a watched component; the next Poll acts
-// on it. It is the wiring target for PanicInterceptor's notify hook.
-func (s *Supervisor) Notify(component string, f Fault) {
-	if s.log != nil {
-		s.log.Record(f)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if w, ok := s.watches[component]; ok {
-		w.pending = append(w.pending, f)
-	}
-}
-
 // Actions returns the decision history.
 func (s *Supervisor) Actions() []Action {
 	s.mu.Lock()
@@ -213,14 +190,9 @@ func (s *Supervisor) Poll() []Action {
 	var unhealthy []verdict
 	for name, w := range s.watches {
 		if w.quarantined {
-			w.pending = nil
 			continue
 		}
 		reason := ""
-		if len(w.pending) > 0 {
-			reason = fmt.Sprintf("%d fault(s), last: %s", len(w.pending), w.pending[len(w.pending)-1].Detail)
-			w.pending = nil
-		}
 		for _, probe := range w.probes {
 			if h := probe(); !h.Healthy {
 				if reason != "" {
@@ -348,9 +320,9 @@ func (s *Supervisor) Close() {
 
 // --- probes ----------------------------------------------------------------------
 
-// FailureProbe reports unhealthy while failed() is true — the pull
-// counterpart of PanicInterceptor's notify, built from
-// assembly.(*System).ComponentFailed or membrane lifecycle state.
+// FailureProbe reports unhealthy while failed() is true — how the
+// supervisor learns of a PanicInterceptor's FAILED transition, built
+// from assembly.(*System).ComponentFailed or membrane lifecycle state.
 func FailureProbe(failed func() (bool, error)) Probe {
 	return func() Health {
 		isFailed, cause := failed()
@@ -358,31 +330,6 @@ func FailureProbe(failed func() (bool, error)) Probe {
 			return healthyState
 		}
 		return Health{Reason: fmt.Sprintf("lifecycle FAILED: %v", cause)}
-	}
-}
-
-// OverflowProbe watches a buffer's overflow rate between polls:
-// unhealthy when more than maxRate of the messages offered since the
-// last poll were dropped. stats is typically a comm buffer's Stats
-// method.
-func OverflowProbe(name string, stats func() comm.Stats, maxRate float64) Probe {
-	var last comm.Stats
-	var mu sync.Mutex
-	return func() Health {
-		cur := stats()
-		mu.Lock()
-		offered := (cur.Enqueued + cur.Dropped) - (last.Enqueued + last.Dropped)
-		dropped := cur.Dropped - last.Dropped
-		last = cur
-		mu.Unlock()
-		if offered <= 0 {
-			return healthyState
-		}
-		if rate := float64(dropped) / float64(offered); rate > maxRate {
-			return Health{Reason: fmt.Sprintf("buffer %s overflow rate %.1f%% (max %.1f%%)",
-				name, rate*100, maxRate*100)}
-		}
-		return healthyState
 	}
 }
 
@@ -400,21 +347,6 @@ func MissProbe(misses func() int64, maxNew int64) Probe {
 		mu.Unlock()
 		if delta > maxNew {
 			return Health{Reason: fmt.Sprintf("%d deadline misses since last poll (max %d)", delta, maxNew)}
-		}
-		return healthyState
-	}
-}
-
-// LatencyProbe watches a trace collector's steady-state distribution:
-// unhealthy when the p99 execution time exceeds bound. The collector
-// is the same one the benchmarking harness feeds.
-func LatencyProbe(col *trace.Collector, bound time.Duration) Probe {
-	return func() Health {
-		if col == nil || col.Len() == 0 {
-			return healthyState
-		}
-		if p99 := col.Summarize().P99; p99 > bound {
-			return Health{Reason: fmt.Sprintf("p99 %v exceeds bound %v", p99, bound)}
 		}
 		return healthyState
 	}

@@ -35,6 +35,10 @@ func ParseArrival(s string) (Arrival, error) {
 	}
 }
 
+// injectors is the number of injection goroutines a drive spreads its
+// schedule over.
+const injectors = 4
+
 // Profile parameterizes one open-loop drive.
 type Profile struct {
 	// Rate is the offered arrival rate in messages/sec across all
@@ -48,8 +52,6 @@ type Profile struct {
 	Arrival Arrival
 	// BurstSize is the volley size for the Burst process (default 32).
 	BurstSize int
-	// Injectors is the injection goroutine count (default 4).
-	Injectors int
 	// Deadline, when >0, counts completions above it as misses.
 	Deadline time.Duration
 	// Drain bounds the post-schedule wait for in-flight stamps to
@@ -70,9 +72,6 @@ func (p Profile) withDefaults() Profile {
 	}
 	if p.BurstSize <= 0 {
 		p.BurstSize = 32
-	}
-	if p.Injectors <= 0 {
-		p.Injectors = 4
 	}
 	if p.Drain <= 0 {
 		p.Drain = 2 * time.Second
@@ -183,7 +182,7 @@ func Drive(p Profile, col *Collector, targets []Target) (DriveStats, error) {
 		}
 		tgtSys[i] = idx
 	}
-	envs := make([][]injEnv, p.Injectors)
+	envs := make([][]injEnv, injectors)
 	defer func() {
 		for _, row := range envs {
 			for _, ie := range row {
@@ -193,7 +192,7 @@ func Drive(p Profile, col *Collector, targets []Target) (DriveStats, error) {
 			}
 		}
 	}()
-	for g := 0; g < p.Injectors; g++ {
+	for g := 0; g < injectors; g++ {
 		envs[g] = make([]injEnv, len(systems))
 		for s, sys := range systems {
 			env, closeEnv, err := sys.NewEnv(false)
@@ -208,14 +207,14 @@ func Drive(p Profile, col *Collector, targets []Target) (DriveStats, error) {
 	warmupEnd := start.Add(p.Warmup)
 	col.SetWarmupEnd(warmupEnd)
 
-	stats := make([]DriveStats, p.Injectors)
+	stats := make([]DriveStats, injectors)
 	var wg sync.WaitGroup
-	for g := 0; g < p.Injectors; g++ {
+	for g := 0; g < injectors; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			st := &stats[g]
-			for i := g; i < len(offs); i += p.Injectors {
+			for i := g; i < len(offs); i += injectors {
 				intended := start.Add(offs[i])
 				if d := time.Until(intended); d > 0 {
 					time.Sleep(d)

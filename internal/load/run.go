@@ -2,12 +2,10 @@ package load
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"soleil/internal/assembly"
 	"soleil/internal/cluster"
-	"soleil/internal/dist"
 	"soleil/internal/obs"
 )
 
@@ -132,42 +130,15 @@ func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var mu sync.Mutex
-		addrs := make(map[string]string)
-		resolve := func(node string) (string, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			addr, ok := addrs[node]
-			if !ok {
-				return "", fmt.Errorf("load: node %s not up yet", node)
-			}
-			return addr, nil
+		lc, err := cluster.StartLocal(plan, cluster.AgentConfig{
+			Registry: reg,
+			Pacer:    assembly.PacerOptions{SporadicPoll: rc.SporadicPoll},
+		})
+		if err != nil {
+			return nil, err
 		}
-		var agents []*cluster.Agent
-		closeAgents := func() {
-			for _, ag := range agents {
-				ag.Close()
-			}
-		}
-		for _, np := range plan.Nodes() {
-			ag, err := cluster.Start(cluster.AgentConfig{
-				Node:     np.Name,
-				Plan:     plan,
-				Registry: reg,
-				Resolver: resolve,
-				Dial:     dist.DialConfig{Timeout: 2 * time.Second, Base: time.Millisecond, Max: 20 * time.Millisecond},
-				Pacer:    assembly.PacerOptions{SporadicPoll: rc.SporadicPoll},
-			})
-			if err != nil {
-				closeAgents()
-				return nil, err
-			}
-			mu.Lock()
-			addrs[np.Name] = ag.Addr()
-			mu.Unlock()
-			agents = append(agents, ag)
-		}
-		teardown = closeAgents
+		agents := lc.Agents()
+		teardown = lc.Close
 		shed = func() int64 {
 			var n int64
 			for _, ag := range agents {
@@ -185,7 +156,7 @@ func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
 				}
 			}
 			if !found {
-				closeAgents()
+				lc.Close()
 				return nil, fmt.Errorf("load: no agent hosts entry %q", e)
 			}
 		}

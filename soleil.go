@@ -232,8 +232,6 @@ func Import(sys *System, server string, t Transport) (*Importer, error) {
 type (
 	// FaultSpec parameterizes deterministic fault injection.
 	FaultSpec = fault.Spec
-	// FaultLog is the fault subsystem's flight recorder.
-	FaultLog = fault.Log
 	// Supervisor watches component health and applies restart
 	// policies through a reconfiguration manager.
 	Supervisor = fault.Supervisor
@@ -259,13 +257,10 @@ const (
 // ParseFaultSpec parses "drop=0.02,dup=0.01,corrupt=0.01,seed=42".
 func ParseFaultSpec(s string) (FaultSpec, error) { return fault.ParseSpec(s) }
 
-// NewFaultLog creates a bounded fault log.
-func NewFaultLog(capacity int) *FaultLog { return fault.NewLog(capacity) }
-
 // InjectFaults wraps a transport with seeded, replayable fault
 // injection.
-func InjectFaults(t Transport, spec FaultSpec, log *FaultLog) (Transport, error) {
-	return fault.InjectTransport(t, spec, log)
+func InjectFaults(t Transport, spec FaultSpec) (Transport, error) {
+	return fault.InjectTransport(t, spec)
 }
 
 // NewSupervisor creates a supervisor restarting components through
@@ -275,9 +270,9 @@ func NewSupervisor(adapter *Adapter, opts ...fault.SupervisorOption) (*Superviso
 }
 
 // NewPanicInterceptor creates the membrane interceptor that converts
-// component panics into recorded faults and a FAILED lifecycle state.
-func NewPanicInterceptor(component string, log *FaultLog, notify func(string, fault.Fault)) *fault.PanicInterceptor {
-	return fault.NewPanicInterceptor(component, log, notify)
+// component panics into a FAILED lifecycle state.
+func NewPanicInterceptor(component string) *fault.PanicInterceptor {
+	return fault.NewPanicInterceptor(component)
 }
 
 // ExportHardened exports a client interface onto a transport with the
