@@ -1,6 +1,6 @@
 # Tier-1+ verification gate. `make check` is what CI and reviewers
-# run: vet, build, the full test suite under the race detector, the
-# soak scenarios, `make lint` and `make benchcheck` (the static and
+# run: gofmt, vet, build, the full test suite under the race detector,
+# the soak scenarios, `make lint` and `make benchcheck` (the static and
 # empirical halves of the same no-allocation, no-blocking claim on the
 # hot paths), and the benchmark module's vet and race tests.
 
@@ -10,11 +10,18 @@ GO ?= go
 # dispatch or real-time hot path.
 LINT_PKGS = ./internal/membrane/... ./internal/obs/... ./internal/comm/... ./internal/rtsj/... ./internal/qos/...
 
-.PHONY: all check vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck bench-module bench bench-obs bench-scenarios clean
+.PHONY: all check fmt vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck bench-module bench bench-obs bench-scenarios clean
 
 all: check
 
-check: vet build race soak soak-cluster soak-overload soak-load lint benchcheck bench-module
+check: fmt vet build race soak soak-cluster soak-overload soak-load lint benchcheck bench-module
+
+# Every tracked Go file must be gofmt-clean (by the gofmt of $(GO)'s
+# own toolchain), except the analyzer's want-corpora under testdata/,
+# which stay exactly as written.
+fmt:
+	@out=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/')) || exit 1; \
+	if [ -n "$$out" ]; then echo "fmt: not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -239,8 +239,6 @@ func panelD(w io.Writer, messages, inflight int, outFile string) error {
 	for _, r := range results {
 		fmt.Fprintf(w, "%-18s %12v %12v %14.0f\n", r.Scenario, r.RTTMedian, r.RTTP99, r.Throughput)
 	}
-	fmt.Fprintln(w, "note: in-process RTTs include sporadic-release polling latency on both hops;")
-	fmt.Fprintln(w, "      imported link messages are invoked on receipt.")
 	meta := map[string]any{"messages": messages, "inflight": inflight}
 	return writeBench(w, "d", outFile, meta, results)
 }

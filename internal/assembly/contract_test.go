@@ -117,16 +117,17 @@ func contractedArch(t *testing.T, c *model.Contract) *model.Architecture {
 }
 
 // TestSheddingBindingProtectsDownstreamDeadlines is the contract
-// tentpole's end-to-end property: a producer offering ~10x the
+// plane's end-to-end property: a producer offering far over the
 // contracted rate is shed at the membrane, the overflow surfaces at
 // the sender as typed backpressure, and the downstream component's
 // deadline-miss count stays zero because only the contracted burst
 // ever releases it. Run under -race via make check.
 func TestSheddingBindingProtectsDownstreamDeadlines(t *testing.T) {
-	// 100 msg/s contract, burst 3. The simulated scheduler runs in
-	// virtual time while the gate refills in wall-clock time, so the
-	// run admits (deterministically) just the initial burst.
-	arch := contractedArch(t, &model.Contract{MaxRate: 100, Burst: 3, Policy: model.Shed})
+	// 1 msg/s contract, burst 3. The simulated scheduler runs in
+	// virtual time while the gate refills in wall-clock time, one
+	// token a second: far longer than the run's few wall-clock
+	// milliseconds, so the run admits just the initial burst.
+	arch := contractedArch(t, &model.Contract{MaxRate: 1, Burst: 3, Policy: model.Shed})
 	src := &burstySource{sendsPerCycle: 10}
 	snk := &countingSink{}
 	reg := NewRegistry()

@@ -3,6 +3,7 @@ package assembly
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"soleil/internal/comm"
@@ -34,15 +35,18 @@ type Node interface {
 	ContentOf() membrane.Content
 }
 
-// taskHolder defers the task wiring of notify ports until threads are
-// spawned.
+// taskHolder carries a component's release hooks to the notify ports
+// bound to it: its sporadic task, wired once threads are spawned, and
+// the wake channel its pacer driver installs while it runs.
 type taskHolder struct {
 	task *sched.Task
+	wake atomic.Pointer[chan struct{}]
 }
 
-// notifyPort wraps an async stub so that, under the simulated
-// scheduler, each Send also releases the receiving component's
-// sporadic task.
+// notifyPort wraps an async stub so that each Send also releases the
+// receiving component: under the simulated scheduler it fires the
+// component's sporadic task, and in wall-clock time it signals the
+// component's pacer driver.
 type notifyPort struct {
 	inner  membrane.Port
 	target *taskHolder
@@ -60,6 +64,12 @@ func (p *notifyPort) Send(env *thread.Env, op string, arg any) error {
 	}
 	if tc := env.Sched(); tc != nil && p.target.task != nil {
 		return tc.Fire(p.target.task)
+	}
+	if wake := p.target.wake.Load(); wake != nil {
+		select {
+		case *wake <- struct{}{}:
+		default: // a release is already pending
+		}
 	}
 	return nil
 }

@@ -17,12 +17,12 @@ import (
 // The pacer is the serving-mode counterpart: one goroutine per active
 // component re-creates the generated activation loop (deliver pending
 // async messages, then run the component's own logic at its declared
-// period) against the real clock, with thread-body errors absorbed
+// period; sporadic and aperiodic components are released on arrival)
+// against the real clock, with thread-body errors absorbed
 // resiliently so a failing component degrades under supervision
 // instead of taking its driver down.
 type Pacer struct {
-	sys  *System
-	opts PacerOptions
+	sys *System
 
 	activations atomic.Int64
 	deliveries  atomic.Int64
@@ -34,26 +34,23 @@ type Pacer struct {
 	wg      sync.WaitGroup
 }
 
-// PacerOptions tunes a Pacer. The zero value is serviceable.
-type PacerOptions struct {
-	// SporadicPoll is the polling interval for sporadic and aperiodic
-	// components without a declared minimum interarrival time
-	// (default 2ms): their inbound buffers are drained at this rate,
-	// standing in for the scheduler's arrival-triggered releases.
-	SporadicPoll time.Duration
-}
+// PacerOptions tunes a Pacer. It has no fields: releases follow the
+// components' declared activations.
+type PacerOptions struct{}
+
+// retryDelay is how soon an arrival-released driver whose drain
+// stopped on an error releases again: the messages queued behind the
+// failure must not wait for the next arrival.
+const retryDelay = 2 * time.Millisecond
 
 // NewPacer prepares a pacer for every active primitive of the system.
 // The system must be deployed in SOLEIL mode (the serving mode) and
 // is Start()ed by Run if it has not been already.
-func NewPacer(sys *System, opts PacerOptions) (*Pacer, error) {
+func NewPacer(sys *System, _ PacerOptions) (*Pacer, error) {
 	if sys.Mode() != Soleil {
 		return nil, fmt.Errorf("assembly: pacer requires SOLEIL mode, not %v", sys.Mode())
 	}
-	if opts.SporadicPoll <= 0 {
-		opts.SporadicPoll = 2 * time.Millisecond
-	}
-	return &Pacer{sys: sys, opts: opts}, nil
+	return &Pacer{sys: sys}, nil
 }
 
 // Run starts the system (if needed) and launches one driver goroutine
@@ -86,47 +83,76 @@ func (p *Pacer) Run() error {
 			return fmt.Errorf("assembly: pacer env for %q: %w", c.Name(), err)
 		}
 		p.wg.Add(1)
-		go p.drive(node, act, env, closeEnv)
+		go p.drive(node, act, p.sys.holders[c.Name()], env, closeEnv)
 	}
 	p.started = true
 	return nil
 }
 
-// interval maps release parameters onto a wall-clock tick.
-func (p *Pacer) interval(act model.Activation) time.Duration {
-	if act.Period > 0 {
-		return act.Period
-	}
-	return p.opts.SporadicPoll
-}
-
-func (p *Pacer) drive(node Node, act model.Activation, env *thread.Env, closeEnv func()) {
+// drive is one component's release loop. A periodic component is
+// released at its period. A sporadic or aperiodic one is released by
+// notify ports signalling the wake channel h carries while the driver
+// runs; it starts signalled, so the first release drains whatever was
+// queued before. A sporadic release comes no sooner than its minimum
+// interarrival time after the previous one. An arrival-driven release
+// whose drain stops on an error is repeated after retryDelay.
+func (p *Pacer) drive(node Node, act model.Activation, h *taskHolder, env *thread.Env, closeEnv func()) {
 	defer p.wg.Done()
 	defer closeEnv()
-
-	if act.Kind == model.AperiodicActivation {
-		// One release, as the generated loop does; then keep
-		// delivering inbound messages.
-		p.step(node, env, true)
+	var tick <-chan time.Time
+	var wake chan struct{}
+	if act.Kind == model.PeriodicActivation {
+		ticker := time.NewTicker(act.Period)
+		defer ticker.Stop()
+		tick = ticker.C
+	} else {
+		wake = make(chan struct{}, 1)
+		wake <- struct{}{}
+		h.wake.Store(&wake)
+		defer h.wake.Store(nil)
 	}
-	ticker := time.NewTicker(p.interval(act))
-	defer ticker.Stop()
+	var mit time.Duration
+	if act.Kind == model.SporadicActivation {
+		mit = act.Period
+	}
+	// A periodic component runs its own logic at every release, an
+	// aperiodic one at its first.
+	activate := act.Kind != model.SporadicActivation
+	var last time.Time
+	var retry <-chan time.Time
 	for {
 		select {
 		case <-p.stop:
 			return
-		case <-ticker.C:
-			p.step(node, env, act.Kind == model.PeriodicActivation)
+		case <-tick:
+		case <-wake:
+		case <-retry:
 		}
+		if wait := mit - time.Since(last); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-p.stop:
+				t.Stop()
+				return
+			case <-t.C:
+			}
+		}
+		last = time.Now()
+		retry = nil
+		if !p.step(node, env, activate) && wake != nil {
+			retry = time.After(retryDelay)
+		}
+		activate = act.Kind == model.PeriodicActivation
 	}
 }
 
 // step is one wall-clock release: drain inbound async buffers, then
 // (for components with their own logic) activate. Errors and panics
 // are absorbed into the system's error ring — the resilient execution
-// discipline supervised nodes run under.
-func (p *Pacer) step(node Node, env *thread.Env, activate bool) {
-	p.absorb(node.Name(), func() error {
+// discipline supervised nodes run under. It reports whether the drain
+// emptied the buffers rather than stopping on an error.
+func (p *Pacer) step(node Node, env *thread.Env, activate bool) (drained bool) {
+	drained = p.absorb(node.Name(), func() error {
 		n, err := node.Deliver(env)
 		p.deliveries.Add(int64(n))
 		return err
@@ -140,9 +166,10 @@ func (p *Pacer) step(node Node, env *thread.Env, activate bool) {
 			return nil
 		})
 	}
+	return drained
 }
 
-func (p *Pacer) absorb(name string, fn func() error) {
+func (p *Pacer) absorb(name string, fn func() error) (ok bool) {
 	var err error
 	func() {
 		defer func() {
@@ -156,6 +183,7 @@ func (p *Pacer) absorb(name string, fn func() error) {
 		p.errors.Add(1)
 		p.sys.recordErr(fmt.Errorf("%s: %w", name, err))
 	}
+	return err == nil
 }
 
 // Activations returns how many component releases have run.

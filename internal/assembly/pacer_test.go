@@ -41,19 +41,23 @@ func (s *pacerSource) Activate(env *thread.Env) error {
 
 // pacerSink counts deliveries.
 type pacerSink struct {
-	got atomic.Int64
+	got      atomic.Int64
+	failNext atomic.Bool
 }
 
 func (s *pacerSink) Init(*membrane.Services) error { return nil }
 
 func (s *pacerSink) Invoke(env *thread.Env, itf, op string, arg any) (any, error) {
+	if s.failNext.CompareAndSwap(true, false) {
+		return nil, errors.New("injected delivery failure")
+	}
 	s.got.Add(1)
 	return nil, nil
 }
 
 func (s *pacerSink) Activate(*thread.Env) error { return nil }
 
-func pacedSystem(t *testing.T, src *pacerSource, snk *pacerSink) *System {
+func pacedSystem(t *testing.T, src *pacerSource, snk *pacerSink, sinkAct model.Activation) *System {
 	t.Helper()
 	a := model.NewArchitecture("paced")
 	source, err := a.NewActive("Source", model.Activation{Kind: model.PeriodicActivation, Period: time.Millisecond})
@@ -66,7 +70,7 @@ func pacedSystem(t *testing.T, src *pacerSource, snk *pacerSink) *System {
 	if err := source.SetContent("SourceImpl"); err != nil {
 		t.Fatal(err)
 	}
-	sink, err := a.NewActive("Sink", model.Activation{Kind: model.SporadicActivation})
+	sink, err := a.NewActive("Sink", sinkAct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +109,49 @@ func pacedSystem(t *testing.T, src *pacerSource, snk *pacerSink) *System {
 	return sys
 }
 
+// sporadicSink is the sink's activation unless a test says otherwise: a
+// sporadic server with no minimum interarrival time.
+var sporadicSink = model.Activation{Kind: model.SporadicActivation}
+
+// sendFrom sends one message through a deployed component's client
+// port, from the test's goroutine rather than the component's driver.
+func sendFrom(t *testing.T, sys *System, component, itf string) {
+	t.Helper()
+	node, ok := sys.Node(component)
+	if !ok {
+		t.Fatalf("no node %q", component)
+	}
+	port, err := node.Port(itf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, closeEnv, err := sys.NewEnv(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeEnv()
+	if err := port.Send(env, "put", 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitFor polls cond until it holds or the timeout passes, and
+// reports whether it held.
+func waitFor(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 func TestPacerDrivesPipelineInRealTime(t *testing.T) {
 	src := &pacerSource{}
 	snk := &pacerSink{}
-	sys := pacedSystem(t, src, snk)
+	sys := pacedSystem(t, src, snk, sporadicSink)
 	p, err := NewPacer(sys, PacerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +177,7 @@ func TestPacerDrivesPipelineInRealTime(t *testing.T) {
 func TestPacerAbsorbsActivationErrors(t *testing.T) {
 	src := &pacerSource{}
 	snk := &pacerSink{}
-	sys := pacedSystem(t, src, snk)
+	sys := pacedSystem(t, src, snk, sporadicSink)
 	p, err := NewPacer(sys, PacerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +213,7 @@ func TestPacerAbsorbsActivationErrors(t *testing.T) {
 func TestPacerCloseJoinsDrivers(t *testing.T) {
 	src := &pacerSource{}
 	snk := &pacerSink{}
-	sys := pacedSystem(t, src, snk)
+	sys := pacedSystem(t, src, snk, sporadicSink)
 	p, err := NewPacer(sys, PacerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +238,7 @@ func TestPacerCloseJoinsDrivers(t *testing.T) {
 func TestPacerRequiresSoleilMode(t *testing.T) {
 	src := &pacerSource{}
 	snk := &pacerSink{}
-	a := pacedSystem(t, src, snk).Architecture()
+	a := pacedSystem(t, src, snk, sporadicSink).Architecture()
 	reg := NewRegistry()
 	_ = reg.Register("SourceImpl", func() membrane.Content { return &pacerSource{} })
 	_ = reg.Register("SinkImpl", func() membrane.Content { return &pacerSink{} })
@@ -205,5 +248,103 @@ func TestPacerRequiresSoleilMode(t *testing.T) {
 	}
 	if _, err := NewPacer(sys, PacerOptions{}); err == nil {
 		t.Fatal("pacer must refuse non-SOLEIL modes")
+	}
+}
+
+// A simulated send to a periodic server is delivered at the server's
+// next period and must report success: only a sporadic server is
+// released by arrivals (RT10), and a send reported as failed after
+// its message was queued would be sent twice by a retrying client.
+func TestSimulatedSendToPeriodicServer(t *testing.T) {
+	src := &pacerSource{}
+	snk := &pacerSink{}
+	sys := pacedSystem(t, src, snk, model.Activation{Kind: model.PeriodicActivation, Period: 5 * time.Millisecond})
+	if err := sys.RunFor(50 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if errs := sys.Errors(); len(errs) > 0 {
+		t.Fatalf("%d send errors, first: %v", len(errs), errs[0])
+	}
+	if got, sent := snk.got.Load(), src.sent.Load(); got == 0 || got > sent {
+		t.Fatalf("sink received %d messages, source sent %d", got, sent)
+	}
+}
+
+// The pacer's first release of a sporadic server drains what was
+// queued before it started; the next arrival is not released before
+// the minimum interarrival time has passed, and Close does not wait
+// it out.
+func TestPacerReleasesSporadicOnArrivalAfterMIT(t *testing.T) {
+	src := &pacerSource{}
+	snk := &pacerSink{}
+	sys := pacedSystem(t, src, snk, model.Activation{Kind: model.SporadicActivation, Period: time.Hour})
+	src.fail.Store(true) // the test sends; the source stays silent
+	if err := sys.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sendFrom(t, sys, "Source", "out")
+	p, err := NewPacer(sys, PacerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	closing := false
+	defer func() {
+		if !closing {
+			p.Close()
+		}
+	}()
+
+	if !waitFor(2*time.Second, func() bool { return snk.got.Load() == 1 }) {
+		t.Fatalf("first message not delivered within 2s (sink saw %d)", snk.got.Load())
+	}
+	sendFrom(t, sys, "Source", "out")
+	time.Sleep(50 * time.Millisecond)
+	if got := snk.got.Load(); got != 1 {
+		t.Fatalf("sink saw %d messages within its 1h minimum interarrival time, want 1", got)
+	}
+
+	closing = true
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close waited out the minimum interarrival time")
+	}
+}
+
+// A release whose drain stops on an error leaves the messages behind
+// the failure queued; the pacer releases again without waiting for a
+// new arrival.
+func TestPacerRetriesFailedDrain(t *testing.T) {
+	src := &pacerSource{}
+	snk := &pacerSink{}
+	sys := pacedSystem(t, src, snk, sporadicSink)
+	src.fail.Store(true) // the test sends; the source stays silent
+	snk.failNext.Store(true)
+	if err := sys.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Queued before the driver starts, so no send signals it: only
+	// the first release and the retry can deliver them.
+	for i := 0; i < 3; i++ {
+		sendFrom(t, sys, "Source", "out")
+	}
+	p, err := NewPacer(sys, PacerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if !waitFor(2*time.Second, func() bool { return snk.got.Load() == 2 }) {
+		t.Fatalf("sink saw %d of the 2 messages behind the failed one within 2s", snk.got.Load())
 	}
 }

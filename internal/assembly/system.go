@@ -655,7 +655,10 @@ func (s *System) buildThreads() error {
 			return fmt.Errorf("assembly: spawning %q: %w", c.Name(), err)
 		}
 		s.threads[c.Name()] = th
-		s.holders[c.Name()].task = th.Task()
+		// Only a sporadic server is released by arrivals (RT10).
+		if act.Kind == model.SporadicActivation {
+			s.holders[c.Name()].task = th.Task()
+		}
 	}
 	return nil
 }

@@ -41,8 +41,6 @@ type AgentConfig struct {
 	Beat time.Duration
 	// Dial tunes the link dialer (timeout, keepalive, backoff).
 	Dial dist.DialConfig
-	// Pacer tunes the wall-clock component driver.
-	Pacer assembly.PacerOptions
 	// AllowStubs deploys stub content for unregistered classes.
 	AllowStubs bool
 	// Logf, when set, receives agent lifecycle messages.
@@ -219,7 +217,7 @@ func (a *Agent) start() error {
 	}
 
 	// Wall-clock execution of the partition's active components.
-	if a.pacer, err = assembly.NewPacer(sys, a.cfg.Pacer); err != nil {
+	if a.pacer, err = assembly.NewPacer(sys, assembly.PacerOptions{}); err != nil {
 		return err
 	}
 	if err = a.pacer.Run(); err != nil {

@@ -68,8 +68,6 @@ type Buffer struct {
 	head  int // next dequeue position
 	count int
 	stats Stats
-
-	onEnqueue func()
 }
 
 // NewBuffer creates a bounded buffer.
@@ -112,23 +110,17 @@ func (b *Buffer) Stats() Stats {
 	return s
 }
 
-// OnEnqueue registers a callback invoked (outside the lock) after each
-// successful enqueue; the runtime uses it to fire the sporadic task of
-// the receiving active component.
-func (b *Buffer) OnEnqueue(fn func()) { b.onEnqueue = fn }
-
 // Enqueue appends v, applying the overflow policy when full.
 func (b *Buffer) Enqueue(v any) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.count == b.capacity {
 		switch b.policy {
 		case Refuse:
 			b.stats.Dropped++
-			b.mu.Unlock()
 			return fmt.Errorf("%w: %s (capacity %d)", ErrFull, b.name, b.capacity)
 		case DropNewest:
 			b.stats.Dropped++
-			b.mu.Unlock()
 			return nil
 		case DropOldest:
 			b.head = (b.head + 1) % b.capacity
@@ -141,11 +133,6 @@ func (b *Buffer) Enqueue(v any) error {
 	b.stats.Enqueued++
 	if b.count > b.stats.MaxDepth {
 		b.stats.MaxDepth = b.count
-	}
-	fn := b.onEnqueue
-	b.mu.Unlock()
-	if fn != nil {
-		fn()
 	}
 	return nil
 }
@@ -230,9 +217,6 @@ func (b *RTBuffer) Cap() int { return b.buf.capacity }
 // Stats returns the underlying buffer statistics.
 func (b *RTBuffer) Stats() Stats { return b.buf.Stats() }
 
-// OnEnqueue registers the post-enqueue callback.
-func (b *RTBuffer) OnEnqueue(fn func()) { b.buf.OnEnqueue(fn) }
-
 // Enqueue deep-copies payload into a preallocated slot under the
 // producer's allocation context and queues the slot. The store and
 // the publish happen in one critical section, so concurrent producers
@@ -266,11 +250,7 @@ func (b *RTBuffer) Enqueue(ctx *memory.Context, payload any) error {
 	if q.count > q.stats.MaxDepth {
 		q.stats.MaxDepth = q.count
 	}
-	fn := q.onEnqueue
 	q.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
 	return nil
 }
 

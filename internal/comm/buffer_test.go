@@ -90,20 +90,6 @@ func TestBufferDropNewest(t *testing.T) {
 	}
 }
 
-func TestOnEnqueueCallback(t *testing.T) {
-	b, _ := NewBuffer("b", 2, Refuse)
-	var fired int
-	b.OnEnqueue(func() { fired++ })
-	_ = b.Enqueue(1)
-	_ = b.Enqueue(2)
-	if err := b.Enqueue(3); err == nil {
-		t.Fatal("overflow accepted")
-	}
-	if fired != 2 {
-		t.Fatalf("callback fired %d times, want 2", fired)
-	}
-}
-
 // Property: any interleaving of enqueues and dequeues preserves FIFO
 // order and never exceeds capacity.
 func TestBufferFIFOProperty(t *testing.T) {

@@ -16,11 +16,11 @@ import (
 
 // Panel (d) extends the paper's evaluation to the cluster deployment
 // plane: the same ping-pong architecture measured once deployed on a
-// single node (asynchronous bindings over in-process RTBuffers,
-// released by sporadic polling) and once partitioned across two nodes
-// over loopback TCP (the planner's dist links). The comparison prices
-// a node boundary against an in-process buffer under identical
-// pacing.
+// single node (asynchronous bindings over in-process RTBuffers, whose
+// sporadic servers the pacer releases on arrival) and once partitioned
+// across two nodes over loopback TCP (the planner's dist links). The
+// comparison prices a node boundary against an in-process buffer under
+// identical pacing.
 
 // ClusterScenarios names the panel-(d) variants in report order.
 var ClusterScenarios = []string{"in-process", "cluster-loopback"}
@@ -206,12 +206,7 @@ func MeasureClusterScenario(scenario string, messages, inflight int) (ClusterRes
 		return ClusterResult{}, err
 	}
 
-	lc, err := cluster.StartLocal(plan, cluster.AgentConfig{
-		Registry: reg,
-		// Tight sporadic polling so the in-process variant's release
-		// latency is pacing, not the 2ms default.
-		Pacer: assembly.PacerOptions{SporadicPoll: 100 * time.Microsecond},
-	})
+	lc, err := cluster.StartLocal(plan, cluster.AgentConfig{Registry: reg})
 	if err != nil {
 		return ClusterResult{}, err
 	}

@@ -330,8 +330,8 @@ func buildSuppressionIndex(fset *token.FileSet, files []*ast.File) *suppressionI
 				bad := func(format string, args ...any) {
 					idx.bad = append(idx.bad, Finding{
 						Pos: c.Pos(), Rule: "SA00", Severity: validate.Error,
-						Subject: "//soleil:ignore",
-						Message: fmt.Sprintf(format, args...),
+						Subject:    "//soleil:ignore",
+						Message:    fmt.Sprintf(format, args...),
 						Suggestion: "name the rules to suppress, e.g. //soleil:ignore SA03 bounded by the RTC section",
 					})
 				}

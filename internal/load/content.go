@@ -142,11 +142,11 @@ var smStates = []smState{
 
 // smNext is the transition table: smNext[state][event], -1 = bubble.
 var smNext = [5][4]int{
-	{3, -1, -1, -1},  // Idle
-	{-1, 4, 2, -1},   // Busy
-	{-1, -1, -1, 0},  // Err
-	{4, -1, -1, -1},  // Busy.Recv
-	{3, -1, -1, 0},   // Busy.Proc
+	{3, -1, -1, -1}, // Idle
+	{-1, 4, 2, -1},  // Busy
+	{-1, -1, -1, 0}, // Err
+	{4, -1, -1, -1}, // Busy.Recv
+	{3, -1, -1, 0},  // Busy.Proc
 }
 
 func (s *smContent) Init(svc *membrane.Services) error { s.svc = svc; return nil }

@@ -15,18 +15,8 @@ type RunConfig struct {
 	// mode (panics and errors absorbed); cluster agents are always
 	// resilient. Ignored when Spec.Nodes > 1.
 	Resilient bool
-	// SporadicPoll is the pacer's sporadic drain cadence (default
-	// 200µs — tight enough that pacing is not the dominant latency).
-	SporadicPoll time.Duration
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-}
-
-func (rc RunConfig) withDefaults() RunConfig {
-	if rc.SporadicPoll <= 0 {
-		rc.SporadicPoll = 200 * time.Microsecond
-	}
-	return rc
 }
 
 // Result is one scenario run's report row.
@@ -79,7 +69,6 @@ func modeName(spec Spec, rc RunConfig) string {
 // agent per node over loopback TCP, injecting into whichever agents
 // host the entry components.
 func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
-	rc = rc.withDefaults()
 	scn, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
@@ -108,7 +97,7 @@ func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pacer, err := assembly.NewPacer(sys, assembly.PacerOptions{SporadicPoll: rc.SporadicPoll})
+		pacer, err := assembly.NewPacer(sys, assembly.PacerOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -130,10 +119,7 @@ func Run(spec Spec, p Profile, rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		lc, err := cluster.StartLocal(plan, cluster.AgentConfig{
-			Registry: reg,
-			Pacer:    assembly.PacerOptions{SporadicPoll: rc.SporadicPoll},
-		})
+		lc, err := cluster.StartLocal(plan, cluster.AgentConfig{Registry: reg})
 		if err != nil {
 			return nil, err
 		}

@@ -146,7 +146,7 @@ type edge struct {
 // Synthesize builds a valid architecture for the spec: every
 // functional component is a sporadic active (asynchronous bindings
 // terminate legally per RT10, and the wall-clock pacer releases them
-// on arrival polling), components are grouped into one RealtimeThread
+// on arrival), components are grouped into one RealtimeThread
 // domain + one immortal MemoryArea per deployment node (RT01, RT04,
 // RT05, RT14), all bindings are asynchronous with bounded buffers
 // (RT15 for any partition) and carry the deep-copy pattern exactly

@@ -326,9 +326,6 @@ func TestAsyncStubSkeleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired int
-	buf.OnEnqueue(func() { fired++ })
-
 	if _, err := stub.Call(producer, "x", nil); err == nil {
 		t.Error("Call on async stub accepted")
 	}
@@ -336,9 +333,6 @@ func TestAsyncStubSkeleton(t *testing.T) {
 		if err := stub.Send(producer, "report", i); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if fired != 3 {
-		t.Fatalf("notifications = %d", fired)
 	}
 	n, err := skel.Drain(consumer)
 	if err != nil {

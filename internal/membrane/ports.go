@@ -106,8 +106,8 @@ func (p *SyncPort) Send(env *thread.Env, op string, arg any) error {
 }
 
 // AsyncStub is the client side of an asynchronous binding: Send
-// deep-copies the message into the binding's buffer (whose OnEnqueue
-// callback releases the server's sporadic thread).
+// deep-copies the message into the binding's buffer. Releasing the
+// server is left to the port that wraps the stub.
 type AsyncStub struct {
 	buf *comm.RTBuffer
 	itf string

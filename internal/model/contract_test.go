@@ -53,8 +53,8 @@ func TestContractValidate(t *testing.T) {
 		{MaxRate: -5},
 		{MaxRate: 10, Burst: -1},
 		{MissTolerance: -2},
-		{Burst: 4},                // burst without a rate
-		{MaxRate: 10, Policy: 99}, // unknown policy
+		{Burst: 4},                     // burst without a rate
+		{MaxRate: 10, Policy: 99},      // unknown policy
 		{MaxRate: 10, Policy: Degrade}, // degrade without a budget
 	}
 	for i, c := range bad {

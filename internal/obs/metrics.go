@@ -63,8 +63,8 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // discipline applied to measurement.
 const (
 	subBucketBits      = 6
-	subBucketCount     = 1 << subBucketBits       // 64
-	subBucketHalfCount = subBucketCount / 2       // 32
+	subBucketCount     = 1 << subBucketBits // 64
+	subBucketHalfCount = subBucketCount / 2 // 32
 	subBucketMask      = int64(subBucketCount - 1)
 	bucketCount        = 33
 	// countsLen is the number of counter slots. Bucket 0 contributes
