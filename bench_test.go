@@ -183,7 +183,7 @@ func BenchmarkAblationBufferCapacity(b *testing.B) {
 	}
 	defer ctx.Close()
 	for _, capacity := range []int{1, 10, 64, 256} {
-		buf, err := comm.NewRTBuffer("bench", capacity, comm.Refuse, rt.Immortal(), 64)
+		buf, err := comm.NewRTBuffer("bench", capacity, rt.Immortal(), 64)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -473,7 +473,7 @@ func (s *System) buildBindings(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			buf, err := comm.NewRTBuffer(b.String(), b.BufferSize, comm.Refuse, bufArea, cfg.BufferSlotSize)
+			buf, err := comm.NewRTBuffer(b.String(), b.BufferSize, bufArea, cfg.BufferSlotSize)
 			if err != nil {
 				return err
 			}

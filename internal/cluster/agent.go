@@ -63,12 +63,13 @@ type Agent struct {
 	np   *NodePlan
 	logf func(format string, args ...any)
 
-	sys   *assembly.System
-	mgr   *reconfig.Manager
-	sup   *fault.Supervisor
-	pacer *assembly.Pacer
-	reg   *obs.Registry
-	rec   *obs.Recorder
+	sys     *assembly.System
+	mgr     *reconfig.Manager
+	sup     *fault.Supervisor
+	pacer   *assembly.Pacer
+	reg     *obs.Registry
+	rec     *obs.Recorder
+	scratch digestScratch
 
 	ln      *dist.Listener
 	writers []*linkWriter
@@ -189,7 +190,7 @@ func (a *Agent) start() error {
 		if l.Contract != nil {
 			budget = l.Contract.LatencyBudget
 		}
-		out.remote = newRemoteSLO(name, budget, a.cfg.Beat, a.rec)
+		out.remote = newRemoteSLO(name, budget, a.cfg.Beat, &a.scratch, a.rec)
 		// A contracted link is admission-gated before its queue: the
 		// client node sheds or rate-limits locally instead of loading
 		// the wire. With a latency budget the breach probe is wired to
@@ -351,11 +352,12 @@ func (ist *importState) linkStats() obs.LinkStats {
 
 // digestProvider builds the stats hook of one inbound link's session:
 // every beat tick it folds the server component's latency series on
-// the link's target interface into a reused snapshot, judges the
-// contract server-side (flags byte), and returns the encoded digest
-// to ride the heartbeat. Steady-state it allocates nothing — the
-// snapshot, the scratch buffer and the digest encoding are all
-// reused.
+// the link's target interface into the agent's scratch snapshot,
+// judges the contract server-side (flags byte), and returns the
+// encoded digest to ride the heartbeat. The encoding is the link's
+// own buffer, since the session sends it after the scratch is
+// released. Steady-state it allocates nothing — the snapshot, the
+// buffer and the digest encoding are all reused.
 func (a *Agent) digestProvider(link *Link, ist *importState) func() []byte {
 	cm := a.reg.Component(link.Server.Component)
 	itf := link.Server.Interface
@@ -364,17 +366,19 @@ func (a *Agent) digestProvider(link *Link, ist *importState) func() []byte {
 		// Same 80%-of-budget early warning the degrade gates use.
 		threshold = link.Contract.LatencyBudget * 4 / 5
 	}
-	var snap obs.HistogramSnapshot
 	var buf []byte
 	return func() []byte {
-		if cm.SnapshotInterface(itf, &snap) == 0 || snap.Count == 0 {
+		sc := &a.scratch
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		if cm.SnapshotInterface(itf, &sc.snap) == 0 || sc.snap.Count == 0 {
 			return nil // nothing observed yet: send a plain beat
 		}
 		var flags byte
-		if threshold > 0 && snap.Quantile(0.99) > threshold {
+		if threshold > 0 && sc.snap.Quantile(0.99) > threshold {
 			flags |= obs.DigestFlagBreached
 		}
-		buf = obs.AppendDigest(buf[:0], &snap, flags)
+		buf = obs.AppendDigest(buf[:0], &sc.snap, flags)
 		ist.digestsSent.Add(1)
 		return buf
 	}

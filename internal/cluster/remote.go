@@ -15,6 +15,16 @@ import (
 // rather than shedding on stale data.
 const remoteStaleFactor = 16
 
+// digestScratch is the one histogram snapshot (~9 KiB) an agent
+// decodes and encodes all its links' heartbeat digests in, instead of
+// two per link. Each use fills it and reads the few numbers it needs
+// under mu; a link's beat comes once per interval, so contention on
+// mu is one beat against another.
+type digestScratch struct {
+	mu   sync.Mutex
+	snap obs.HistogramSnapshot
+}
+
 // remoteSLO is the client-side view of a server component's latency,
 // reconstructed from the histogram digests the server piggybacks onto
 // the link's heartbeats. It is the missing half of RT17: a degrade
@@ -22,16 +32,11 @@ const remoteStaleFactor = 16
 // p99 instead of going unwired because the histogram lives on the
 // other node.
 type remoteSLO struct {
-	name       string        // "link <id>", for events and registration
-	threshold  int64         // ns; breach when p99 exceeds it (0 = no latency contract)
-	staleAfter time.Duration // ignore digests older than this in probe()
-	rec        *obs.Recorder // may be nil; obs.Recorder methods are nil-safe
-
-	// mu serializes decoding into the scratch snapshot; stats frames
-	// normally arrive on one Receive goroutine, but a reconnect can
-	// briefly overlap the old drain goroutine with the new one.
-	mu   sync.Mutex
-	snap obs.HistogramSnapshot
+	name       string         // "link <id>", for events and registration
+	threshold  int64          // ns; breach when p99 exceeds it (0 = no latency contract)
+	staleAfter time.Duration  // ignore digests older than this in probe()
+	rec        *obs.Recorder  // may be nil; obs.Recorder methods are nil-safe
+	scratch    *digestScratch // the agent's, shared with its other links
 
 	p99     atomic.Int64 // ns, from the last good digest
 	count   atomic.Int64 // server-side sample count
@@ -45,11 +50,11 @@ type remoteSLO struct {
 	serverBreached atomic.Bool
 }
 
-func newRemoteSLO(name string, budget time.Duration, beat time.Duration, rec *obs.Recorder) *remoteSLO {
+func newRemoteSLO(name string, budget time.Duration, beat time.Duration, scratch *digestScratch, rec *obs.Recorder) *remoteSLO {
 	if beat <= 0 {
 		beat = DefaultBeat
 	}
-	r := &remoteSLO{name: name, staleAfter: remoteStaleFactor * beat, rec: rec}
+	r := &remoteSLO{name: name, staleAfter: remoteStaleFactor * beat, rec: rec, scratch: scratch}
 	if budget > 0 {
 		// Same early-warning threshold the local degrade gate uses:
 		// breach at 80% of the budget, before the contract is violated.
@@ -65,15 +70,16 @@ func (r *remoteSLO) ingest(payload []byte) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	flags, err := obs.DecodeDigest(payload, &r.snap)
+	sc := r.scratch
+	sc.mu.Lock()
+	flags, err := obs.DecodeDigest(payload, &sc.snap)
 	if err != nil {
-		r.mu.Unlock()
+		sc.mu.Unlock()
 		return
 	}
-	p99 := int64(r.snap.Quantile(0.99))
-	count := r.snap.Count
-	r.mu.Unlock()
+	p99 := int64(sc.snap.Quantile(0.99))
+	count := sc.snap.Count
+	sc.mu.Unlock()
 
 	r.digests.Add(1)
 	r.lastAt.Store(time.Now().UnixNano())

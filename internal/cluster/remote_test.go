@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ func TestRemoteSLOIngestAndProbe(t *testing.T) {
 	rec := obs.NewRecorder("client", 64)
 	defer rec.Close()
 	// budget 10ms -> threshold 8ms; staleAfter = 16 * 10ms.
-	r := newRemoteSLO("link L", 10*time.Millisecond, 10*time.Millisecond, rec)
+	r := newRemoteSLO("link L", 10*time.Millisecond, 10*time.Millisecond, &digestScratch{}, rec)
 
 	// A fast server: p99 ~1ms, no breach.
 	r.ingest(digestOf(t, time.Millisecond, 100, 0))
@@ -81,7 +83,7 @@ func TestRemoteSLOIngestAndProbe(t *testing.T) {
 }
 
 func TestRemoteSLONoContract(t *testing.T) {
-	r := newRemoteSLO("link L", 0, 10*time.Millisecond, nil)
+	r := newRemoteSLO("link L", 0, 10*time.Millisecond, &digestScratch{}, nil)
 	r.ingest(digestOf(t, time.Hour, 10, 0))
 	if r.probe() {
 		t.Fatal("a link without a latency budget never breaches")
@@ -89,6 +91,82 @@ func TestRemoteSLONoContract(t *testing.T) {
 	if r.p99.Load() == 0 {
 		t.Fatal("digest telemetry must still flow for link stats")
 	}
+}
+
+// TestRemoteSLOOverflowDigestKeepsBreach: a digest whose Max does not
+// fit an int64 decodes, unchecked, to a negative p99 that would clear
+// a standing breach. It must be dropped as corrupt instead.
+func TestRemoteSLOOverflowDigestKeepsBreach(t *testing.T) {
+	r := newRemoteSLO("link L", 10*time.Millisecond, 10*time.Millisecond, &digestScratch{}, nil)
+	r.ingest(digestOf(t, 20*time.Millisecond, 100, 0))
+	if !r.breached.Load() {
+		t.Fatal("20ms p99 against an 8ms threshold must breach")
+	}
+	// Version 1, flags 0, Count 1, Sum 0, Max 2^63+12345, no slots.
+	overflow := []byte{1, 0}
+	for _, v := range []uint64{1, 0, 1<<63 + 12345, 0} {
+		overflow = binary.AppendUvarint(overflow, v)
+	}
+	r.ingest(overflow)
+	if !r.breached.Load() || !r.probe() {
+		t.Fatalf("overflow digest cleared the breach (p99 = %v)", time.Duration(r.p99.Load()))
+	}
+	if got := r.digests.Load(); got != 1 {
+		t.Fatalf("digests = %d, want 1: the overflow digest was counted", got)
+	}
+}
+
+// TestDigestScratchSharedAcrossLinks runs two inbound links' digest
+// providers and two export links' remote SLOs of one agent at once.
+// All four use the agent's one scratch snapshot; each must still see
+// only its own link's distribution.
+func TestDigestScratchSharedAcrossLinks(t *testing.T) {
+	a := &Agent{reg: obs.NewRegistry()}
+	for i := 0; i < 100; i++ {
+		a.reg.Component("Fast").Series("in", "op").Latency.Observe(time.Millisecond)
+		a.reg.Component("Slow").Series("in", "op").Latency.Observe(20 * time.Millisecond)
+	}
+	provider := func(component string) func() []byte {
+		return a.digestProvider(&Link{Server: model.Endpoint{Component: component, Interface: "in"}}, &importState{})
+	}
+	budget := 10 * time.Millisecond
+	fastIn, slowIn := provider("Fast"), provider("Slow")
+	fastOut := newRemoteSLO("link F", budget, budget, &a.scratch, nil)
+	slowOut := newRemoteSLO("link S", budget, budget, &a.scratch, nil)
+	fastDigest, slowDigest := digestOf(t, time.Millisecond, 100, 0), digestOf(t, 20*time.Millisecond, 100, 0)
+
+	const rounds = 500
+	var wg sync.WaitGroup
+	encode := func(digest func() []byte, wantSlow bool) {
+		defer wg.Done()
+		var s obs.HistogramSnapshot
+		for i := 0; i < rounds; i++ {
+			if _, err := obs.DecodeDigest(digest(), &s); err != nil {
+				t.Errorf("round %d: provider digest: %v", i, err)
+				return
+			}
+			if p99 := s.Quantile(0.99); (p99 > budget) != wantSlow {
+				t.Errorf("round %d: provider digest p99 = %v, want slow=%v", i, p99, wantSlow)
+				return
+			}
+		}
+	}
+	decode := func(r *remoteSLO, digest []byte, wantBreach bool) {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			r.ingest(digest)
+			if got := r.breached.Load(); got != wantBreach {
+				t.Errorf("round %d: %s breached = %v, want %v", i, r.name, got, wantBreach)
+				return
+			}
+		}
+	}
+	wg.Add(4)
+	go encode(fastIn, false)
+	go encode(slowIn, true)
+	go decode(fastOut, fastDigest, false)
+	go decode(slowOut, slowDigest, true)
+	wg.Wait()
 }
 
 // TestCrossNodeBreachPropagation is the tentpole's end-to-end check:

@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,24 +13,36 @@ import (
 )
 
 func TestNewBufferValidation(t *testing.T) {
-	if _, err := NewBuffer("b", 0, Refuse); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if _, err := NewBuffer("b", -1, Refuse); err == nil {
+	rt := memory.NewRuntime()
+	if _, err := NewRTBuffer("b", -1, rt.Immortal(), 8); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := NewBuffer("b", 4, OverflowPolicy(9)); err == nil {
-		t.Error("unknown policy accepted")
+	if _, err := NewRTBuffer("b", math.MaxInt64/4, rt.Immortal(), 8); err == nil {
+		t.Error("slot region overflowing int64 accepted")
 	}
 }
 
-func TestBufferFIFO(t *testing.T) {
-	b, err := NewBuffer("b", 4, Refuse)
+// immortalBuffer returns a buffer in immortal memory and a regular
+// context to drive it with.
+func immortalBuffer(t *testing.T, capacity int) (*RTBuffer, *memory.Context) {
+	t.Helper()
+	rt := memory.NewRuntime()
+	b, err := NewRTBuffer("b", capacity, rt.Immortal(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, err := memory.NewContext(rt.Immortal(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctx.Close)
+	return b, ctx
+}
+
+func TestBufferFIFO(t *testing.T) {
+	b, ctx := immortalBuffer(t, 4)
 	for i := 0; i < 4; i++ {
-		if err := b.Enqueue(i); err != nil {
+		if err := b.Enqueue(ctx, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,21 +50,21 @@ func TestBufferFIFO(t *testing.T) {
 		t.Fatal("accessors")
 	}
 	for i := 0; i < 4; i++ {
-		v, ok := b.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("dequeue %d = %v, %v", i, v, ok)
+		v, ok, err := b.Dequeue(ctx)
+		if err != nil || !ok || v != i {
+			t.Fatalf("dequeue %d = %v, %v, %v", i, v, ok, err)
 		}
 	}
-	if _, ok := b.Dequeue(); ok {
+	if _, ok, _ := b.Dequeue(ctx); ok {
 		t.Fatal("dequeue from empty succeeded")
 	}
 }
 
 func TestBufferRefuse(t *testing.T) {
-	b, _ := NewBuffer("b", 2, Refuse)
-	_ = b.Enqueue(1)
-	_ = b.Enqueue(2)
-	err := b.Enqueue(3)
+	b, ctx := immortalBuffer(t, 2)
+	_ = b.Enqueue(ctx, 1)
+	_ = b.Enqueue(ctx, 2)
+	err := b.Enqueue(ctx, 3)
 	if !errors.Is(err, ErrFull) {
 		t.Fatalf("overflow err = %v", err)
 	}
@@ -61,53 +74,32 @@ func TestBufferRefuse(t *testing.T) {
 	}
 }
 
-func TestBufferDropOldest(t *testing.T) {
-	b, _ := NewBuffer("b", 2, DropOldest)
-	for i := 1; i <= 3; i++ {
-		if err := b.Enqueue(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, _ := b.Dequeue()
-	if v != 2 {
-		t.Fatalf("after drop-oldest got %v, want 2", v)
-	}
-	if st := b.Stats(); st.Dropped != 1 {
-		t.Fatalf("dropped = %d", st.Dropped)
-	}
-}
-
-func TestBufferDropNewest(t *testing.T) {
-	b, _ := NewBuffer("b", 2, DropNewest)
-	for i := 1; i <= 3; i++ {
-		if err := b.Enqueue(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, _ := b.Dequeue()
-	if v != 1 {
-		t.Fatalf("after drop-newest got %v, want 1", v)
-	}
-}
-
 // Property: any interleaving of enqueues and dequeues preserves FIFO
 // order and never exceeds capacity.
 func TestBufferFIFOProperty(t *testing.T) {
+	rt := memory.NewRuntime()
+	ctx, err := memory.NewContext(rt.Immortal(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
 	f := func(ops []bool, cap8 uint8) bool {
 		capacity := int(cap8%8) + 1
-		b, err := NewBuffer("b", capacity, Refuse)
+		b, err := NewRTBuffer("b", capacity, rt.Immortal(), 16)
 		if err != nil {
 			return false
 		}
 		next, expect := 0, 0
 		for _, enq := range ops {
 			if enq {
-				if err := b.Enqueue(next); err == nil {
+				if err := b.Enqueue(ctx, next); err == nil {
 					next++
 				} else if !errors.Is(err, ErrFull) {
 					return false
 				}
-			} else if v, ok := b.Dequeue(); ok {
+			} else if v, ok, err := b.Dequeue(ctx); err != nil {
+				return false
+			} else if ok {
 				if v != expect {
 					return false
 				}
@@ -134,7 +126,7 @@ type payload struct {
 func newRT(t *testing.T) (*memory.Runtime, *RTBuffer) {
 	t.Helper()
 	rt := memory.NewRuntime()
-	b, err := NewRTBuffer("pl->ms", 10, Refuse, rt.Immortal(), 64)
+	b, err := NewRTBuffer("pl->ms", 10, rt.Immortal(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +135,17 @@ func newRT(t *testing.T) (*memory.Runtime, *RTBuffer) {
 
 func TestNewRTBufferValidation(t *testing.T) {
 	rt := memory.NewRuntime()
-	if _, err := NewRTBuffer("b", 4, Refuse, nil, 8); err == nil {
+	if _, err := NewRTBuffer("b", 4, nil, 8); err == nil {
 		t.Error("nil area accepted")
 	}
 	s, _ := rt.NewScoped("s", 1024)
-	if _, err := NewRTBuffer("b", 4, Refuse, s, 8); err == nil {
+	if _, err := NewRTBuffer("b", 4, s, 8); err == nil {
 		t.Error("scoped area accepted")
 	}
-	if _, err := NewRTBuffer("b", 4, Refuse, rt.Immortal(), 0); err == nil {
+	if _, err := NewRTBuffer("b", 4, rt.Immortal(), 0); err == nil {
 		t.Error("zero slot size accepted")
 	}
-	if _, err := NewRTBuffer("b", 0, Refuse, rt.Immortal(), 8); err == nil {
+	if _, err := NewRTBuffer("b", 0, rt.Immortal(), 8); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }
@@ -165,6 +157,23 @@ func TestRTBufferPreallocatesSlots(t *testing.T) {
 	}
 	if b.Area() != rt.Immortal() || b.Cap() != 10 || b.Name() != "pl->ms" {
 		t.Fatal("accessors")
+	}
+}
+
+// TestNewRTBufferAllocsIndependentOfCapacity pins the slot storage
+// to a fixed number of heap allocations, as an RTSJ slot array is one
+// immortal object however many slots it has.
+func TestNewRTBufferAllocsIndependentOfCapacity(t *testing.T) {
+	rt := memory.NewRuntime()
+	allocs := func(capacity int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := NewRTBuffer("b", capacity, rt.Immortal(), 64); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(256); one != many {
+		t.Fatalf("NewRTBuffer makes %v allocations at capacity 1 but %v at capacity 256", one, many)
 	}
 }
 
@@ -199,7 +208,7 @@ func TestRTBufferSteadyStateAllocatesNothing(t *testing.T) {
 
 func TestRTBufferNoHeapProducerOnHeapBuffer(t *testing.T) {
 	rt := memory.NewRuntime()
-	b, err := NewRTBuffer("b", 4, Refuse, rt.Heap(), 32)
+	b, err := NewRTBuffer("b", 4, rt.Heap(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +233,25 @@ func TestRTBufferNoHeapProducerOnHeapBuffer(t *testing.T) {
 	if _, _, err := b.Dequeue(nhrt); !errors.As(err, &access) {
 		t.Fatalf("NHRT dequeue from heap buffer: %v", err)
 	}
+	// The forbidden load consumed its message: retrying could never
+	// succeed.
+	if n := b.Len(); n != 0 {
+		t.Fatalf("faulted dequeue left %d messages queued", n)
+	}
+	// A full buffer refuses before the producer's context is checked.
+	for i := 0; i < b.Cap(); i++ {
+		if err := b.Enqueue(reg, payload{seq: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Enqueue(nhrt, payload{}); !errors.Is(err, ErrFull) {
+		t.Fatalf("NHRT enqueue to a full heap buffer: %v, want ErrFull", err)
+	}
 }
 
 func TestRTBufferOverflow(t *testing.T) {
 	rt := memory.NewRuntime()
-	b, err := NewRTBuffer("b", 2, Refuse, rt.Immortal(), 16)
+	b, err := NewRTBuffer("b", 2, rt.Immortal(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,42 +276,19 @@ func TestRTBufferOverflow(t *testing.T) {
 	}
 }
 
-func TestRTBufferDropOldestSlotReuse(t *testing.T) {
-	rt := memory.NewRuntime()
-	b, err := NewRTBuffer("b", 2, DropOldest, rt.Immortal(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := memory.NewContext(rt.Immortal(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctx.Close()
-	for i := 1; i <= 5; i++ {
-		if err := b.Enqueue(ctx, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1, ok1, _ := b.Dequeue(ctx)
-	v2, ok2, _ := b.Dequeue(ctx)
-	if !ok1 || !ok2 || v1 != 4 || v2 != 5 {
-		t.Fatalf("drop-oldest kept %v, %v; want 4, 5", v1, v2)
-	}
-}
-
 func TestStatsReportsInstantDepth(t *testing.T) {
-	b, _ := NewBuffer("b", 4, Refuse)
+	b, ctx := immortalBuffer(t, 4)
 	if got := b.Stats().Depth; got != 0 {
 		t.Fatalf("empty depth = %d", got)
 	}
-	_ = b.Enqueue(1)
-	_ = b.Enqueue(2)
-	_ = b.Enqueue(3)
+	_ = b.Enqueue(ctx, 1)
+	_ = b.Enqueue(ctx, 2)
+	_ = b.Enqueue(ctx, 3)
 	if st := b.Stats(); st.Depth != 3 || st.MaxDepth != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	b.Dequeue()
-	b.Dequeue()
+	_, _, _ = b.Dequeue(ctx)
+	_, _, _ = b.Dequeue(ctx)
 	// Depth tracks the instantaneous length; MaxDepth stays the high
 	// watermark.
 	if st := b.Stats(); st.Depth != 1 || st.MaxDepth != 3 {
@@ -306,7 +306,7 @@ func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
 	for _, producers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("producers=%d", producers), func(t *testing.T) {
 			rt := memory.NewRuntime()
-			b, err := NewRTBuffer("b", 2, Refuse, rt.Immortal(), 16)
+			b, err := NewRTBuffer("b", 2, rt.Immortal(), 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,5 +371,32 @@ func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
 				t.Fatalf("stats = %+v", st)
 			}
 		})
+	}
+}
+
+// BenchmarkRTBufferHotPath is one message through an immortal buffer
+// under a no-heap context: the steady state of an asynchronous
+// binding. make benchcheck holds it at 0 allocs/op.
+func BenchmarkRTBufferHotPath(b *testing.B) {
+	rt := memory.NewRuntime()
+	buf, err := NewRTBuffer("b", 256, rt.Immortal(), 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, err := memory.NewContext(rt.Immortal(), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ctx.Close()
+	var msg any = payload{seq: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := buf.Enqueue(ctx, msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := buf.Dequeue(ctx); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soleil/internal/qos"
+	"soleil/internal/rtsj/memory"
 )
 
 // TestErrFullUnwrapsToBackpressure pins the sentinel chain the whole
@@ -43,16 +44,22 @@ func TestErrFullMatchesThroughWrapping(t *testing.T) {
 // the error it returns matches through errors.Is even though Enqueue
 // returns a wrapped, annotated value rather than the bare sentinel.
 func TestEnqueueErrorIdentity(t *testing.T) {
-	b, err := NewBuffer("sentinel", 1, Refuse)
+	rt := memory.NewRuntime()
+	b, err := NewRTBuffer("sentinel", 1, rt.Immortal(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Enqueue("a"); err != nil {
+	ctx, err := memory.NewContext(rt.Immortal(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	if err := b.Enqueue(ctx, "a"); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
-	err = b.Enqueue("b")
+	err = b.Enqueue(ctx, "b")
 	if err == nil {
-		t.Fatal("second enqueue on a capacity-1 Refuse buffer must fail")
+		t.Fatal("second enqueue on a capacity-1 buffer must fail")
 	}
 	if err == ErrFull { //nolint:errorlint // deliberate: proving == fails
 		t.Error("Enqueue returned the bare sentinel; annotation was lost")

@@ -30,7 +30,7 @@ import (
 
 var (
 	_ = patterns.None
-	_ = comm.Refuse
+	_ = comm.ErrFull
 )
 
 // syncRoute adapts an inlined synchronous route to the port contract
@@ -82,7 +82,7 @@ func BuildSystem() (*System, error) {
 {{- end}}
 {{- range .Buffers}}
 	{
-		buf, err := comm.NewRTBuffer({{printf "%q" .Name}}, {{.Cap}}, comm.Refuse, {{.AreaExpr}}, 256)
+		buf, err := comm.NewRTBuffer({{printf "%q" .Name}}, {{.Cap}}, {{.AreaExpr}}, 256)
 		if err != nil {
 			return nil, err
 		}

@@ -59,7 +59,7 @@ import (
 
 var (
 	_ = patterns.None // unused when no binding crosses areas
-	_ = comm.Refuse   // unused when the architecture has no async binding
+	_ = comm.ErrFull  // unused when the architecture has no async binding
 )
 
 // System is the generated execution infrastructure.
@@ -106,7 +106,7 @@ func BuildSystem() (*System, error) {
 {{- end}}
 {{- range .Buffers}}
 	{
-		buf, err := comm.NewRTBuffer({{printf "%q" .Name}}, {{.Cap}}, comm.Refuse, {{.AreaExpr}}, 256)
+		buf, err := comm.NewRTBuffer({{printf "%q" .Name}}, {{.Cap}}, {{.AreaExpr}}, 256)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ import (
 	"soleil/internal/rtsj/thread"
 )
 
-var _ = comm.Refuse
+var _ = comm.ErrFull
 
 // System is the generated, fully static execution infrastructure.
 type System struct {
@@ -65,7 +65,7 @@ func BuildSystem() (*System, error) {
 {{- end}}
 {{- range .Buffers}}
 	{
-		buf, err := comm.NewRTBuffer({{printf "%q" .Name}}, {{.Cap}}, comm.Refuse, {{.AreaExpr}}, 256)
+		buf, err := comm.NewRTBuffer({{printf "%q" .Name}}, {{.Cap}}, {{.AreaExpr}}, 256)
 		if err != nil {
 			return nil, err
 		}

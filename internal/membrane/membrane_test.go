@@ -306,7 +306,7 @@ func TestNewMemoryInterceptorValidation(t *testing.T) {
 
 func TestAsyncStubSkeleton(t *testing.T) {
 	rt := memory.NewRuntime()
-	buf, err := comm.NewRTBuffer("pl->ms", 10, comm.Refuse, rt.Immortal(), 128)
+	buf, err := comm.NewRTBuffer("pl->ms", 10, rt.Immortal(), 128)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ package obs
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 )
 
 // digestVersion tags the wire format; a decoder rejects versions it
@@ -70,7 +71,11 @@ func AppendDigest(dst []byte, s *HistogramSnapshot, flags byte) []byte {
 
 // DecodeDigest decodes a digest produced by AppendDigest into s
 // (overwriting it) and returns the flag byte. s is fully zeroed
-// first so a sparse digest leaves absent slots at zero.
+// first so a sparse digest leaves absent slots at zero. A digest is
+// corrupt when a value does not fit an int64, when its slots are not
+// in strictly increasing order, or when Count is not the sum of its
+// slot counts: any of these would let a peer's heartbeat report a
+// negative or out-of-range quantile.
 func DecodeDigest(data []byte, s *HistogramSnapshot) (flags byte, err error) {
 	*s = HistogramSnapshot{}
 	if len(data) < 2 {
@@ -93,13 +98,14 @@ func DecodeDigest(data []byte, s *HistogramSnapshot) (flags byte, err error) {
 	sum, ok2 := next()
 	max, ok3 := next()
 	pairs, ok4 := next()
-	if !ok1 || !ok2 || !ok3 || !ok4 {
+	if !ok1 || !ok2 || !ok3 || !ok4 || count > math.MaxInt64 || sum > math.MaxInt64 || max > math.MaxInt64 {
 		return 0, ErrDigestCorrupt
 	}
 	s.Count = int64(count)
 	s.Sum = int64(sum)
 	s.Max = int64(max)
 	slot := -1
+	var total uint64 // sum of the slot counts so far, never above count
 	for p := uint64(0); p < pairs; p++ {
 		delta, ok := next()
 		if !ok {
@@ -109,11 +115,15 @@ func DecodeDigest(data []byte, s *HistogramSnapshot) (flags byte, err error) {
 		if !ok {
 			return 0, ErrDigestCorrupt
 		}
-		slot += int(delta)
-		if slot < 0 || slot >= countsLen || delta == 0 {
+		if delta == 0 || delta >= uint64(countsLen-slot) || c > count-total {
 			return 0, ErrDigestCorrupt
 		}
+		slot += int(delta)
+		total += c
 		s.Counts[slot] = int64(c)
+	}
+	if total != count {
+		return 0, ErrDigestCorrupt
 	}
 	return flags, nil
 }

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/binary"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -145,6 +148,85 @@ func TestDigestDecodeRejectsGarbage(t *testing.T) {
 	buf := AppendDigest(nil, &snap, 0)
 	if _, err := DecodeDigest(buf[:len(buf)-1], &s); err == nil {
 		t.Error("truncated digest accepted")
+	}
+	const huge = 1<<63 + 12345 // decodes to a negative int64
+	for _, c := range []struct {
+		name   string
+		digest []byte
+	}{
+		{"max beyond int64, no slots", rawDigest(1, 0, huge)},
+		{"max beyond int64", rawDigest(1, 0, huge, 1, 1)},
+		{"sum beyond int64", rawDigest(1, huge, 1, 1, 1)},
+		{"count above its slots", rawDigest(1000, 0, 1, 1, 1, 1, 2)},
+		{"count below its slots", rawDigest(2, 0, 1, 1, 1, 1, 2)},
+		{"slot counts overflowing", rawDigest(1, 0, 1, 1, 1<<64-1, 1, 2)},
+		{"slot moving backwards", rawDigest(8, 0, 1, 6, 1, 1<<64-1, 2, 1, 5)},
+		{"slot past the last", rawDigest(1, 0, 1, NumBuckets+1, 1)},
+	} {
+		if _, err := DecodeDigest(c.digest, &s); !errors.Is(err, ErrDigestCorrupt) {
+			t.Errorf("%s: DecodeDigest = %v, want ErrDigestCorrupt", c.name, err)
+		}
+	}
+}
+
+// rawDigest encodes a version-1 digest field by field, trusting its
+// arguments: count, sum, max, then (slot delta, count) pairs.
+func rawDigest(count, sum, max uint64, pairs ...uint64) []byte {
+	b := []byte{digestVersion, 0}
+	for _, v := range []uint64{count, sum, max, uint64(len(pairs) / 2)} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, v := range pairs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// TestSnapshotCountMatchesSlotsUnderObserve takes snapshots while
+// writers observe: each snapshot's Count must equal the slots it
+// read, or its own digest would not decode.
+func TestSnapshotCountMatchesSlotsUnderObserve(t *testing.T) {
+	var h Histogram
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(time.Duration(i%4096) * time.Microsecond)
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var s, back HistogramSnapshot
+	var buf []byte
+	for i := 0; i < 500; i++ {
+		if i%2 == 0 {
+			h.SnapshotInto(&s)
+		} else {
+			s = HistogramSnapshot{}
+			h.MergeInto(&s)
+		}
+		var sum int64
+		for _, c := range s.Counts {
+			sum += c
+		}
+		if s.Count != sum {
+			t.Fatalf("snapshot %d: Count = %d, slots sum to %d", i, s.Count, sum)
+		}
+		buf = AppendDigest(buf[:0], &s, 0)
+		if _, err := DecodeDigest(buf, &back); err != nil {
+			t.Fatalf("snapshot %d: own digest rejected: %v", i, err)
+		}
 	}
 }
 

@@ -267,29 +267,40 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // SnapshotInto copies the histogram state into s without allocating,
-// for callers that reuse a snapshot buffer on a periodic path.
+// for callers that reuse a snapshot buffer on a periodic path. Count
+// is the sum of the slot counts read, not the live total, so it
+// always equals the snapshot's own slots (see MergeInto).
 //
 //soleil:noheap
 func (h *Histogram) SnapshotInto(s *HistogramSnapshot) {
+	var n int64
 	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+		c := h.counts[i].Load()
+		s.Counts[i] = c
+		n += c
 	}
 	s.Sum = h.sum.Load()
-	s.Count = h.n.Load()
+	s.Count = n
 	s.Max = h.max.Load()
 }
 
 // MergeInto adds the histogram's live state into s without an
 // intermediate snapshot, so periodic digest providers can fold many
-// series into one snapshot allocation-free.
+// series into one snapshot allocation-free. Observe keeps running
+// while the slots are read one by one, so the live total n can
+// differ from the slots read; Count is therefore summed from those
+// slots, which keeps a snapshot of a loaded histogram a valid digest.
 //
 //soleil:noheap
 func (h *Histogram) MergeInto(s *HistogramSnapshot) {
+	var n int64
 	for i := range h.counts {
-		s.Counts[i] += h.counts[i].Load()
+		c := h.counts[i].Load()
+		s.Counts[i] += c
+		n += c
 	}
 	s.Sum += h.sum.Load()
-	s.Count += h.n.Load()
+	s.Count += n
 	if m := h.max.Load(); m > s.Max {
 		s.Max = m
 	}

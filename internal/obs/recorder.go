@@ -129,6 +129,19 @@ type Event struct {
 	Span    uint64    `json:"span,omitempty"`
 }
 
+// entry is one ring slot: an Event without the node name, which is
+// the recorder's own and is stamped on by Events. 64 bytes against
+// Event's 80.
+type entry struct {
+	seq     uint64
+	when    int64
+	kind    EventKind
+	subject string
+	value   int64
+	trace   uint64
+	span    uint64
+}
+
 // missBurstCount and missBurstWindow define the automatic trigger:
 // this many deadline misses inside one window dumps the ring.
 const (
@@ -153,7 +166,7 @@ type Recorder struct {
 	node string
 
 	mu    sync.Mutex
-	ring  []Event
+	ring  []entry
 	next  int
 	seq   uint64
 	total int64
@@ -181,7 +194,7 @@ func NewRecorder(node string, capacity int) *Recorder {
 	}
 	return &Recorder{
 		node:      node,
-		ring:      make([]Event, capacity),
+		ring:      make([]entry, capacity),
 		triggerCh: make(chan string, 4),
 		stopCh:    make(chan struct{}),
 	}
@@ -207,16 +220,11 @@ func (r *Recorder) Record(kind EventKind, subject string, value int64, sc SpanCo
 	now := time.Now().UnixNano()
 	burst := false
 	r.mu.Lock()
-	ev := &r.ring[r.next]
 	r.seq++
-	ev.Seq = r.seq
-	ev.When = now
-	ev.Kind = kind
-	ev.Node = r.node
-	ev.Subject = subject
-	ev.Value = value
-	ev.Trace = sc.TraceID
-	ev.Span = sc.SpanID
+	r.ring[r.next] = entry{
+		seq: r.seq, when: now, kind: kind, subject: subject,
+		value: value, trace: sc.TraceID, span: sc.SpanID,
+	}
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0
@@ -323,14 +331,19 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total <= int64(len(r.ring)) {
-		out := make([]Event, r.next)
-		copy(out, r.ring[:r.next])
-		return out
+	var older []entry // the overwritten half, when the ring has wrapped
+	if r.total > int64(len(r.ring)) {
+		older = r.ring[r.next:]
 	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
+	out := make([]Event, 0, len(older)+r.next)
+	for _, part := range [2][]entry{older, r.ring[:r.next]} {
+		for _, e := range part {
+			out = append(out, Event{
+				Seq: e.seq, When: e.when, Kind: e.kind, Node: r.node, Subject: e.subject,
+				Value: e.value, Trace: e.trace, Span: e.span,
+			})
+		}
+	}
 	return out
 }
 

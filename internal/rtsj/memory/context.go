@@ -154,24 +154,46 @@ func (c *Context) AllocIn(a *Area, size int64, v any) (*Ref, error) {
 // Load reads the object behind r, enforcing the no-heap read rule and
 // dangling-scope detection.
 func (c *Context) Load(r *Ref) (any, error) {
-	if r == nil {
-		return nil, fmt.Errorf("memory: load through nil reference")
-	}
-	if c.noHeap && r.area.Kind() == Heap {
-		return nil, &MemoryAccessError{Op: "read a reference into", Area: r.area.Name()}
-	}
-	if !r.valid() {
-		return nil, &InactiveScopeError{Scope: r.area.Name(), Op: "load of reclaimed object"}
+	if err := c.CheckLoad(r); err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.value, nil
 }
 
+// CheckLoad applies Load's checks to r without reading its value: an
+// object that keeps its data outside the Ref (an array of slots
+// charged to the area as one region) is read under the same rules.
+func (c *Context) CheckLoad(r *Ref) error {
+	if r == nil {
+		return fmt.Errorf("memory: load through nil reference")
+	}
+	if c.noHeap && r.area.Kind() == Heap {
+		return &MemoryAccessError{Op: "read a reference into", Area: r.area.Name()}
+	}
+	if !r.valid() {
+		return &InactiveScopeError{Scope: r.area.Name(), Op: "load of reclaimed object"}
+	}
+	return nil
+}
+
 // Store overwrites the object value behind r. The no-heap rule applies
 // as for Load; the assignment rules do not (the value is opaque data,
 // not a tracked reference — use Ref.SetField for reference stores).
 func (c *Context) Store(r *Ref, v any) error {
+	if err := c.CheckStore(r); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.value = v
+	return nil
+}
+
+// CheckStore applies Store's checks to r without writing its value,
+// as CheckLoad does for Load.
+func (c *Context) CheckStore(r *Ref) error {
 	if r == nil {
 		return fmt.Errorf("memory: store through nil reference")
 	}
@@ -181,8 +203,5 @@ func (c *Context) Store(r *Ref, v any) error {
 	if !r.valid() {
 		return &InactiveScopeError{Scope: r.area.Name(), Op: "store to reclaimed object"}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.value = v
 	return nil
 }
