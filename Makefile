@@ -10,7 +10,7 @@ GO ?= go
 # dispatch or real-time hot path.
 LINT_PKGS = ./internal/membrane/... ./internal/obs/... ./internal/comm/... ./internal/rtsj/... ./internal/qos/...
 
-.PHONY: all check fmt vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck bench-module bench bench-obs bench-scenarios clean
+.PHONY: all check fmt vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck fuzz bench-module bench bench-obs bench-scenarios clean
 
 all: check
 
@@ -107,15 +107,25 @@ sarif:
 	@echo "wrote soleil.sarif soleil-arch.sarif"
 
 # Empirical counterpart of the //soleil:noheap annotations: run the
-# metered-dispatch, admission-gate, async-buffer and observability
-# hot-path benchmarks with -benchmem and fail if any reports a
-# non-zero allocs/op.
+# metered-dispatch, admission-gate, async-buffer, observability and
+# link-encode hot-path benchmarks with -benchmem and fail if any
+# reports a non-zero allocs/op.
 benchcheck:
 	@out=$$($(GO) test -run NONE -bench 'HotPath|DispatchMetered|DispatchAdmitted|GateAdmit' -benchmem -benchtime 1000x \
-		./internal/obs/ ./internal/membrane/ ./internal/qos/ ./internal/comm/) || { echo "$$out"; exit 1; }; \
+		./internal/obs/ ./internal/membrane/ ./internal/qos/ ./internal/comm/ ./internal/dist/) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '/allocs\/op/ && $$(NF-1)+0 > 0 { bad=1; print "benchcheck: " $$1 " allocates on the hot path" } END { exit bad+0 }'
 	$(GO) test -run TestSummaryBudget ./internal/lint/
+
+# Fuzz smoke over the decoders that read link bytes: the message
+# envelope, the connection hello and the heartbeat latency digest,
+# 10 s each. Plain `go test` already replays each target's seeds and
+# its checked-in corpus under testdata/fuzz; this target searches for
+# new inputs, so it stays out of `make check`.
+fuzz:
+	$(GO) test -run NONE -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/dist/
+	$(GO) test -run NONE -fuzz '^FuzzReadHello$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -run NONE -fuzz '^FuzzDecodeDigest$$' -fuzztime 10s ./internal/obs/
 
 # benchmark/ is a module of its own (outside ./...), so the checks
 # above never compile it: vet and race-test it here, so an API change

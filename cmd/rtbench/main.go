@@ -181,7 +181,7 @@ func panelB(w io.Writer, timings []evaluation.TimingResult) error {
 // Fig. 7(c) reference: the paper reports SOLEIL ≈ OO + 280 KB,
 // MERGE-ALL ≈ OO + 4.7 KB, ULTRA-MERGE below OO.
 func panelC(w io.Writer) error {
-	fmt.Fprintln(w, "=== Fig. 7(c): memory footprint ===")
+	fmt.Fprintf(w, "=== Fig. 7(c): memory footprint (median of %d builds per variant) ===\n", evaluation.FootprintBuilds)
 	results, err := evaluation.MeasureAllFootprints()
 	if err != nil {
 		return err

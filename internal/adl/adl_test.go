@@ -310,6 +310,16 @@ func TestFormatSizeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesHugeBufferSize: a bufferSize above the binding
+// bound fails at decode, naming the binding, instead of at deploy.
+func TestDecodeRefusesHugeBufferSize(t *testing.T) {
+	doc := strings.Replace(contractADL, `bufferSize="8"`, `bufferSize="1125899906842624"`, 1)
+	_, err := DecodeString(doc)
+	if err == nil || !strings.Contains(err.Error(), "client.out -> server.in") || !strings.Contains(err.Error(), "buffer size") {
+		t.Fatalf("decode = %v, want a buffer-size error naming the binding", err)
+	}
+}
+
 func TestDecodeFileMissing(t *testing.T) {
 	if _, err := DecodeFile("/nonexistent/arch.xml"); err == nil {
 		t.Fatal("missing file accepted")

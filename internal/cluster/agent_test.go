@@ -23,6 +23,9 @@ import (
 type clSensor struct {
 	svc  *membrane.Services
 	sent atomic.Int64
+	// payload, when set, makes the message numbered n; without it the
+	// message is n itself, an int.
+	payload func(n int) any
 }
 
 func (s *clSensor) Init(svc *membrane.Services) error { s.svc = svc; return nil }
@@ -36,7 +39,11 @@ func (s *clSensor) Activate(env *thread.Env) error {
 	if err != nil {
 		return err
 	}
-	if err := port.Send(env, "put", int(s.sent.Load())); err != nil {
+	var msg any = int(s.sent.Load())
+	if s.payload != nil {
+		msg = s.payload(int(s.sent.Load()))
+	}
+	if err := port.Send(env, "put", msg); err != nil {
 		// Backpressure while a peer is down is expected load shedding,
 		// not a component failure.
 		if errors.Is(err, dist.ErrBackpressure) {
@@ -99,12 +106,14 @@ func (c *clCache) Invoke(_ *thread.Env, _, _ string, arg any) (any, error) {
 func (c *clCache) Activate(*thread.Env) error { return nil }
 
 type clSink struct {
-	got atomic.Int64
+	got  atomic.Int64
+	last atomic.Pointer[any] // the last argument received
 }
 
 func (s *clSink) Init(*membrane.Services) error { return nil }
 
-func (s *clSink) Invoke(*thread.Env, string, string, any) (any, error) {
+func (s *clSink) Invoke(_ *thread.Env, _, _ string, arg any) (any, error) {
+	s.last.Store(&arg)
 	s.got.Add(1)
 	return nil, nil
 }
@@ -248,6 +257,30 @@ func TestClusterThreeNodePipeline(t *testing.T) {
 	}
 }
 
+// clReading is a registered struct payload: it crosses links as gob,
+// the envelope's fallback for arguments that are not int or int64.
+type clReading struct {
+	Seq   int
+	Value float64
+}
+
+func TestClusterCarriesRegisteredStruct(t *testing.T) {
+	dist.RegisterPayload(clReading{})
+	c := newTestCluster(t)
+	c.sensor.payload = func(n int) any { return clReading{Seq: n, Value: float64(n) / 2} }
+	c.start(t, false)
+
+	waitFor(t, "sink to see 10 readings", 10*time.Second, func() bool { return c.sink.got.Load() >= 10 })
+	last := *c.sink.last.Load()
+	r, ok := last.(clReading)
+	if !ok {
+		t.Fatalf("sink got %T, want clReading", last)
+	}
+	if r.Seq <= 0 || r.Value != float64(r.Seq)/2 {
+		t.Fatalf("reading arrived altered: %+v", r)
+	}
+}
+
 func TestAgentRejectsUnknownLink(t *testing.T) {
 	c := newTestCluster(t)
 	c.start(t, false)
@@ -273,6 +306,43 @@ func TestAgentRejectsUnknownLink(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("agent left the unknown-link connection open")
+	}
+}
+
+// TestAgentClosesOnGarbageHello: a connection whose first frame is not
+// a well-formed hello is closed without a session.
+func TestAgentClosesOnGarbageHello(t *testing.T) {
+	c := newTestCluster(t)
+	c.start(t, false)
+	gamma := c.local.Agent("gamma")
+	valid := appendHello(nil, hello{Node: "beta", Link: c.plan.Links[0].ID})
+	for _, garbage := range [][]byte{
+		{frameHello, 0xff},        // a length with no bytes behind it
+		append(valid, 'x'),        // trailing bytes
+		appendHello(nil, hello{}), // empty node and link
+		{frameData, 1, 2, 3},      // not a hello at all
+	} {
+		tr, err := dist.Dial(gamma.Addr(), dist.DialConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Send(garbage); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := tr.Receive()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("agent answered hello %q", garbage)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("agent left the connection open after hello %q", garbage)
+		}
+		_ = tr.Close()
 	}
 }
 

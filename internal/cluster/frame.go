@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -34,18 +33,36 @@ const (
 )
 
 // hello is the handshake a dialing node sends first on a link
-// connection.
+// connection: frameHello, then the node and link names as the
+// envelope's uvarint-length strings (dist.AppendString).
 type hello struct {
-	Node string `json:"node"`
-	Link string `json:"link"`
+	Node string
+	Link string
+}
+
+func appendHello(dst []byte, h hello) []byte {
+	return dist.AppendString(dist.AppendString(append(dst, frameHello), h.Node), h.Link)
+}
+
+// decodeHello parses a hello frame. A frame that is truncated, has
+// trailing bytes or names an empty node or link is refused.
+func decodeHello(frame []byte) (hello, error) {
+	if frameByte(frame) != frameHello {
+		return hello{}, fmt.Errorf("cluster: expected hello, got frame type %q", frameByte(frame))
+	}
+	node, rest, nodeOK := dist.ReadString(frame[1:])
+	link, rest, linkOK := dist.ReadString(rest)
+	if !nodeOK || !linkOK || len(rest) != 0 {
+		return hello{}, fmt.Errorf("cluster: malformed hello")
+	}
+	if node == "" || link == "" {
+		return hello{}, fmt.Errorf("cluster: hello missing node or link")
+	}
+	return hello{Node: node, Link: link}, nil
 }
 
 func sendHello(tr dist.Transport, h hello) error {
-	body, err := json.Marshal(h)
-	if err != nil {
-		return fmt.Errorf("cluster: encode hello: %w", err)
-	}
-	return tr.Send(append([]byte{frameHello}, body...))
+	return tr.Send(appendHello(nil, h))
 }
 
 func readHello(tr dist.Transport) (hello, error) {
@@ -53,17 +70,7 @@ func readHello(tr dist.Transport) (hello, error) {
 	if err != nil {
 		return hello{}, err
 	}
-	if len(frame) == 0 || frame[0] != frameHello {
-		return hello{}, fmt.Errorf("cluster: expected hello, got frame type %q", frameByte(frame))
-	}
-	var h hello
-	if err := json.Unmarshal(frame[1:], &h); err != nil {
-		return hello{}, fmt.Errorf("cluster: decode hello: %w", err)
-	}
-	if h.Node == "" || h.Link == "" {
-		return hello{}, fmt.Errorf("cluster: hello missing node or link")
-	}
-	return h, nil
+	return decodeHello(frame)
 }
 
 func frameByte(frame []byte) byte {
@@ -90,7 +97,8 @@ type sessionHooks struct {
 }
 
 // session wraps a transport with the framed cluster protocol: Send
-// prefixes data frames, Receive strips inbound heartbeats (handing
+// prefixes data frames, sendFrame transmits a data frame its caller
+// built whole, Receive strips inbound heartbeats (handing
 // stats-bearing ones to the hooks), and a background beater keeps the
 // connection warm in both directions and closes it when the peer has
 // gone stale. A session is itself a dist.Transport, so an Importer
@@ -156,8 +164,13 @@ func (s *session) beater() {
 
 // Send transmits one data payload.
 func (s *session) Send(payload []byte) error {
-	return s.tr.Send(append([]byte{frameData}, payload...))
+	return s.sendFrame(append([]byte{frameData}, payload...))
 }
+
+// sendFrame transmits a data frame that already begins with frameData,
+// as outLink.Send encodes each message behind it, so the link's writer
+// sends every frame without a second allocation or copy.
+func (s *session) sendFrame(frame []byte) error { return s.tr.Send(frame) }
 
 // Receive blocks until the next data payload, absorbing heartbeats.
 func (s *session) Receive() ([]byte, error) {

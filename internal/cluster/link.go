@@ -58,16 +58,22 @@ func newOutLink(l *Link) *outLink {
 	}
 }
 
+// dataHead is the first byte of every data frame. Its capacity is
+// full, so appending to it always copies: each Send gets a frame of
+// its own, and dataHead itself is never written.
+var dataHead = []byte{frameData}
+
 // Send implements membrane.Port: encode now, transmit later. The
-// caller's span rides in the envelope so the remote dispatch joins
-// its trace.
+// message is encoded straight into its data frame, the one allocation
+// per message, and the writer sends that frame as it is. The caller's
+// span rides in the envelope so the remote dispatch joins its trace.
 func (o *outLink) Send(env *thread.Env, op string, arg any) error {
-	payload, err := dist.EncodeMessage(o.link.Server.Interface, op, arg, env.Span())
+	frame, err := dist.AppendMessage(dataHead, o.link.Server.Interface, op, arg, env.Span())
 	if err != nil {
 		return err
 	}
 	select {
-	case o.queue <- payload:
+	case o.queue <- frame:
 		n := o.enqueued.Add(1)
 		if depth := n - o.sent.Load(); depth > o.highWm.Load() {
 			o.highWm.Store(depth)
@@ -166,7 +172,7 @@ func (w *linkWriter) run() {
 				case pending = <-w.out.queue:
 				}
 			}
-			if err := sess.Send(pending); err != nil {
+			if err := sess.sendFrame(pending); err != nil {
 				_ = sess.Close()
 				break // reconnect; pending is retransmitted
 			}

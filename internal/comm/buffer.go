@@ -10,6 +10,7 @@ import (
 	"math"
 	"sync"
 
+	"soleil/internal/model"
 	"soleil/internal/patterns"
 	"soleil/internal/qos"
 	"soleil/internal/rtsj/memory"
@@ -67,7 +68,8 @@ type RTBuffer struct {
 }
 
 // NewRTBuffer creates an RT buffer and preallocates its capacity
-// slots of slotSize bytes each in area.
+// slots of slotSize bytes each in area. capacity must lie in
+// 1..model.MaxBufferSize, the bound every binding's buffer size obeys.
 func NewRTBuffer(name string, capacity int, area *memory.Area, slotSize int64) (*RTBuffer, error) {
 	if area == nil {
 		return nil, fmt.Errorf("comm: rt buffer %q needs a memory area", name)
@@ -79,8 +81,8 @@ func NewRTBuffer(name string, capacity int, area *memory.Area, slotSize int64) (
 	if slotSize <= 0 {
 		return nil, fmt.Errorf("comm: rt buffer %q needs a positive slot size", name)
 	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("comm: buffer %q needs a positive capacity, got %d", name, capacity)
+	if capacity <= 0 || capacity > model.MaxBufferSize {
+		return nil, fmt.Errorf("comm: buffer %q needs a capacity in 1..%d, got %d", name, model.MaxBufferSize, capacity)
 	}
 	if int64(capacity) > math.MaxInt64/slotSize {
 		return nil, fmt.Errorf("comm: rt buffer %q: %d slots of %d bytes overflow the area's byte count", name, capacity, slotSize)

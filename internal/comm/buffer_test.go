@@ -17,8 +17,21 @@ func TestNewBufferValidation(t *testing.T) {
 	if _, err := NewRTBuffer("b", -1, rt.Immortal(), 8); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := NewRTBuffer("b", math.MaxInt64/4, rt.Immortal(), 8); err == nil {
+	if _, err := NewRTBuffer("b", 1<<16, rt.Immortal(), math.MaxInt64/1000); err == nil {
 		t.Error("slot region overflowing int64 accepted")
+	}
+}
+
+// TestNewBufferRefusesHugeCapacity: the heap accepts any region charge,
+// so only the capacity bound stands between a huge declared size and a
+// slot ring make cannot allocate.
+func TestNewBufferRefusesHugeCapacity(t *testing.T) {
+	rt := memory.NewRuntime()
+	if _, err := NewRTBuffer("b", 1<<50, rt.Heap(), 1); err == nil {
+		t.Fatal("a 2^50-slot heap buffer was accepted")
+	}
+	if _, err := NewRTBuffer("b", math.MaxInt64/4, rt.Immortal(), 8); err == nil {
+		t.Fatal("a capacity above the bound was accepted")
 	}
 }
 

@@ -1,58 +1,14 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
 
 	"soleil/internal/assembly"
 	"soleil/internal/membrane"
-	"soleil/internal/obs"
 	"soleil/internal/rtsj/thread"
 )
-
-// envelope is the wire representation of one asynchronous invocation.
-// Trace carries the sender's span context across the wire, so a
-// distributed call chain renders as one causal trace even though its
-// halves run in different systems (typically different processes).
-type envelope struct {
-	Interface string
-	Op        string
-	Arg       any
-	Trace     obs.SpanContext
-}
-
-// RegisterPayload registers a message payload type for the wire
-// encoding (gob). Every concrete type sent over a distributed binding
-// must be registered on both sides.
-func RegisterPayload(v any) { gob.Register(v) }
-
-func encode(e envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("dist: encode %s.%s: %w", e.Interface, e.Op, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// EncodeMessage serializes one asynchronous invocation into the wire
-// envelope an Importer dispatches. It is the building block for
-// callers that queue messages off the sending thread (cluster links
-// encode at Send time, transmit from a writer goroutine) instead of
-// binding a RemotePort directly to a transport.
-func EncodeMessage(itf, op string, arg any, span obs.SpanContext) ([]byte, error) {
-	return encode(envelope{Interface: itf, Op: op, Arg: arg, Trace: span})
-}
-
-func decode(payload []byte) (envelope, error) {
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-		return envelope{}, fmt.Errorf("dist: decode: %w", err)
-	}
-	return e, nil
-}
 
 // RemotePort is the client half of a distributed binding: a port
 // whose Send serializes the message onto a transport. Distribution is
@@ -76,7 +32,7 @@ func NewRemotePort(t Transport, itf string) (*RemotePort, error) {
 // Send implements membrane.Port. The sender's current span rides in
 // the envelope so the remote dispatch joins the sender's trace.
 func (p *RemotePort) Send(env *thread.Env, op string, arg any) error {
-	payload, err := encode(envelope{Interface: p.itf, Op: op, Arg: arg, Trace: env.Span()})
+	payload, err := AppendMessage(nil, p.itf, op, arg, env.Span())
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,13 @@
 // (Sect. 7): distribution support. An asynchronous binding can span
 // two deployed systems — the client side exports its interface onto a
 // transport, the server side imports the transport into a component's
-// dataplane. Messages are serialized (gob) so no reference ever
+// dataplane. Messages are serialized at Send so no reference ever
 // crosses the system boundary, which makes distribution a natural
 // extension of the deep-copy pattern: the same discipline that keeps
-// scoped references from escaping also keeps them node-local.
+// scoped references from escaping also keeps them node-local. The
+// wire envelope (wire.go) is a fixed binary layout: interface,
+// operation and span context, then the argument, natively for int and
+// int64 and as gob for any other (registered) payload type.
 //
 // The design follows the DiSCo space-oriented middleware the paper
 // relates to (Sect. 6): components keep their local RTSJ disciplines;
@@ -168,6 +171,7 @@ type connTransport struct {
 	conn net.Conn
 	rmu  sync.Mutex
 	wmu  sync.Mutex
+	wbuf []byte // length prefix + payload of the frame being written; guarded by wmu
 }
 
 // NewConn wraps a stream connection (e.g. TCP) with length-prefixed
@@ -176,18 +180,17 @@ func NewConn(conn net.Conn) Transport {
 	return &connTransport{conn: conn}
 }
 
+// Send writes the length prefix and the payload with one Write, so a
+// frame costs one syscall.
 func (t *connTransport) Send(payload []byte) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	var hdr [4]byte
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: sending %d bytes (limit %d)", ErrFrameTooLarge, len(payload), MaxFrame)
 	}
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := t.conn.Write(hdr[:]); err != nil {
-		return mapClosed(err)
-	}
-	_, err := t.conn.Write(payload)
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	t.wbuf = binary.BigEndian.AppendUint32(t.wbuf[:0], uint32(len(payload)))
+	t.wbuf = append(t.wbuf, payload...)
+	_, err := t.conn.Write(t.wbuf)
 	return mapClosed(err)
 }
 

@@ -13,6 +13,7 @@ package evaluation
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"soleil/internal/assembly"
@@ -216,15 +217,30 @@ func MeasureFootprint(name string) (FootprintResult, error) {
 	return FootprintResult{Variant: name, Bytes: bytes}, nil
 }
 
-// MeasureAllFootprints measures every variant in the paper's order.
+// FootprintBuilds is how many builds of each variant
+// MeasureAllFootprints takes the median of.
+const FootprintBuilds = 15
+
+// MeasureAllFootprints measures every variant in the paper's order
+// and reports, per variant, the median of FootprintBuilds
+// measurements. One build can read several KB high, more than some
+// variants differ by, so each round builds every variant once and the
+// median is taken across rounds.
 func MeasureAllFootprints() ([]FootprintResult, error) {
-	out := make([]FootprintResult, 0, len(VariantNames))
-	for _, name := range VariantNames {
-		r, err := MeasureFootprint(name)
-		if err != nil {
-			return nil, err
+	samples := make([][]int64, len(VariantNames))
+	for b := 0; b < FootprintBuilds; b++ {
+		for i, name := range VariantNames {
+			r, err := MeasureFootprint(name)
+			if err != nil {
+				return nil, err
+			}
+			samples[i] = append(samples[i], r.Bytes)
 		}
-		out = append(out, r)
+	}
+	out := make([]FootprintResult, len(VariantNames))
+	for i, name := range VariantNames {
+		slices.Sort(samples[i])
+		out[i] = FootprintResult{Variant: name, Bytes: samples[i][FootprintBuilds/2]}
 	}
 	return out, nil
 }

@@ -47,13 +47,21 @@ type Endpoint struct {
 
 func (e Endpoint) String() string { return e.Component + "." + e.Interface }
 
+// MaxBufferSize bounds an asynchronous binding's buffer capacity.
+// A buffer preallocates all of its slots at deploy time, so an
+// unbounded size would turn one ADL attribute into an allocation the
+// runtime cannot satisfy; the bound sits far above every size a
+// synthesized or shipped architecture declares (the load synthesizer
+// defaults to 256).
+const MaxBufferSize = 1 << 16
+
 // Binding connects a client interface to a server interface.
 type Binding struct {
 	Client   Endpoint
 	Server   Endpoint
 	Protocol Protocol
 	// BufferSize is the message buffer capacity of asynchronous
-	// bindings.
+	// bindings, in 1..MaxBufferSize.
 	BufferSize int
 	// Pattern optionally names the cross-scope communication pattern
 	// the memory interceptor must deploy (chosen at design time per
@@ -112,6 +120,10 @@ func (a *Architecture) Bind(b Binding) (*Binding, error) {
 		if b.BufferSize <= 0 {
 			return nil, fmt.Errorf("model: asynchronous binding %s -> %s needs a positive buffer size",
 				b.Client, b.Server)
+		}
+		if b.BufferSize > MaxBufferSize {
+			return nil, fmt.Errorf("model: asynchronous binding %s -> %s: buffer size %d exceeds the limit of %d",
+				b.Client, b.Server, b.BufferSize, MaxBufferSize)
 		}
 	default:
 		return nil, fmt.Errorf("model: binding %s -> %s has unknown protocol %v",

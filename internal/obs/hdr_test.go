@@ -149,8 +149,21 @@ func TestDigestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeDigest(buf[:len(buf)-1], &s); err == nil {
 		t.Error("truncated digest accepted")
 	}
+	for _, c := range corruptDigests() {
+		if _, err := DecodeDigest(c.digest, &s); !errors.Is(err, ErrDigestCorrupt) {
+			t.Errorf("%s: DecodeDigest = %v, want ErrDigestCorrupt", c.name, err)
+		}
+	}
+}
+
+// corruptDigests are well-framed digests whose values a decoder must
+// refuse.
+func corruptDigests() []struct {
+	name   string
+	digest []byte
+} {
 	const huge = 1<<63 + 12345 // decodes to a negative int64
-	for _, c := range []struct {
+	return []struct {
 		name   string
 		digest []byte
 	}{
@@ -162,11 +175,45 @@ func TestDigestDecodeRejectsGarbage(t *testing.T) {
 		{"slot counts overflowing", rawDigest(1, 0, 1, 1, 1<<64-1, 1, 2)},
 		{"slot moving backwards", rawDigest(8, 0, 1, 6, 1, 1<<64-1, 2, 1, 5)},
 		{"slot past the last", rawDigest(1, 0, 1, NumBuckets+1, 1)},
-	} {
-		if _, err := DecodeDigest(c.digest, &s); !errors.Is(err, ErrDigestCorrupt) {
-			t.Errorf("%s: DecodeDigest = %v, want ErrDigestCorrupt", c.name, err)
-		}
 	}
+}
+
+// FuzzDecodeDigest feeds arbitrary heartbeat payloads to the digest
+// decoder. It must never panic; a digest it accepts must be
+// self-consistent (Count is the sum of the slot counts, Sum and Max
+// are not negative) and must survive re-encoding unchanged.
+func FuzzDecodeDigest(f *testing.F) {
+	var h Histogram
+	for _, d := range []time.Duration{0, time.Microsecond, 50 * time.Microsecond, 20 * time.Millisecond, time.Hour} {
+		h.Observe(d)
+		snap := h.Snapshot()
+		f.Add(AppendDigest(nil, &snap, 0))
+		f.Add(AppendDigest(nil, &snap, DigestFlagBreached))
+	}
+	for _, c := range corruptDigests() {
+		f.Add(c.digest)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s HistogramSnapshot
+		flags, err := DecodeDigest(data, &s)
+		if err != nil {
+			return
+		}
+		var total int64
+		for _, c := range s.Counts {
+			if c < 0 {
+				t.Fatalf("negative slot count %d", c)
+			}
+			total += c
+		}
+		if s.Count != total || s.Sum < 0 || s.Max < 0 {
+			t.Fatalf("accepted inconsistent digest: count %d (slots %d), sum %d, max %d", s.Count, total, s.Sum, s.Max)
+		}
+		var back HistogramSnapshot
+		if bflags, err := DecodeDigest(AppendDigest(nil, &s, flags), &back); err != nil || bflags != flags || back != s {
+			t.Fatalf("re-encoded digest does not decode to itself: %v", err)
+		}
+	})
 }
 
 // rawDigest encodes a version-1 digest field by field, trusting its

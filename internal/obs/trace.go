@@ -14,7 +14,7 @@ import (
 // SpanContext identifies one span within a causal trace. It is the
 // value that travels: through membrane invocations, inside
 // asynchronous buffer messages, and over distributed binding
-// envelopes (two integers — gob- and copy-friendly, no references).
+// envelopes (two fixed 64-bit fields on the wire, no references).
 type SpanContext struct {
 	TraceID uint64
 	SpanID  uint64

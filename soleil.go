@@ -215,6 +215,8 @@ func NewBoundedPipeTransport(capacity int, sendWait time.Duration) (Transport, T
 func NewConnTransport(conn net.Conn) Transport { return dist.NewConn(conn) }
 
 // RegisterPayload registers a message type for the wire encoding.
+// Links carry int and int64 natively; any other payload type travels
+// as gob and must be registered on both sides.
 func RegisterPayload(v any) { dist.RegisterPayload(v) }
 
 // Export routes a client interface of sys onto a transport.
