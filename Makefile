@@ -1,6 +1,7 @@
 # Tier-1+ verification gate. `make check` is what CI and reviewers
-# run: gofmt, vet, build, the full test suite under the race detector,
-# the soak scenarios, `make lint` and `make benchcheck` (the static and
+# run: gofmt, vet (also for 32-bit Linux, macOS and Windows), build,
+# the full test suite under the race detector, the soak scenarios,
+# `make lint` and `make benchcheck` (the static and
 # empirical halves of the same no-allocation, no-blocking claim on the
 # hot paths), and the benchmark module's vet and race tests.
 
@@ -10,11 +11,11 @@ GO ?= go
 # dispatch or real-time hot path.
 LINT_PKGS = ./internal/membrane/... ./internal/obs/... ./internal/comm/... ./internal/rtsj/... ./internal/qos/...
 
-.PHONY: all check fmt vet build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck fuzz bench-module bench bench-obs bench-scenarios clean
+.PHONY: all check fmt vet cross build test race soak soak-cluster soak-overload soak-load lint sarif benchcheck fuzz bench-module bench bench-obs bench-scenarios clean
 
 all: check
 
-check: fmt vet build race soak soak-cluster soak-overload soak-load lint benchcheck bench-module
+check: fmt vet cross build race soak soak-cluster soak-overload soak-load lint benchcheck bench-module
 
 # Every tracked Go file must be gofmt-clean (by the gofmt of $(GO)'s
 # own toolchain), except the analyzer's want-corpora under testdata/,
@@ -25,6 +26,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Vet for platforms other than the host's: a 32-bit Linux (the
+# timerfd alarm's 32-bit timespec, and int-sized constants in tests),
+# macOS and Windows (the alarm's time.Timer path).
+cross:
+	GOOS=linux GOARCH=386 $(GO) vet ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOOS=windows GOARCH=amd64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -107,25 +116,28 @@ sarif:
 	@echo "wrote soleil.sarif soleil-arch.sarif"
 
 # Empirical counterpart of the //soleil:noheap annotations: run the
-# metered-dispatch, admission-gate, async-buffer, observability and
-# link-encode hot-path benchmarks with -benchmem and fail if any
-# reports a non-zero allocs/op.
+# metered-dispatch, admission-gate, async-buffer, observability,
+# link-encode and release-clock hot-path benchmarks with -benchmem and
+# fail if any reports a non-zero allocs/op.
 benchcheck:
 	@out=$$($(GO) test -run NONE -bench 'HotPath|DispatchMetered|DispatchAdmitted|GateAdmit' -benchmem -benchtime 1000x \
-		./internal/obs/ ./internal/membrane/ ./internal/qos/ ./internal/comm/ ./internal/dist/) || { echo "$$out"; exit 1; }; \
+		./internal/obs/ ./internal/membrane/ ./internal/qos/ ./internal/comm/ ./internal/dist/ ./internal/assembly/) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '/allocs\/op/ && $$(NF-1)+0 > 0 { bad=1; print "benchcheck: " $$1 " allocates on the hot path" } END { exit bad+0 }'
 	$(GO) test -run TestSummaryBudget ./internal/lint/
 
-# Fuzz smoke over the decoders that read link bytes: the message
-# envelope, the connection hello and the heartbeat latency digest,
-# 10 s each. Plain `go test` already replays each target's seeds and
-# its checked-in corpus under testdata/fuzz; this target searches for
-# new inputs, so it stays out of `make check`.
+# Fuzz smoke over the decoders that read untrusted bytes: the message
+# envelope, the connection hello, the heartbeat latency digest and the
+# ADL's architecture and deployment documents, 10 s each. Plain
+# `go test` already replays each target's seeds and its checked-in
+# corpus under testdata/fuzz; this target searches for new inputs, so
+# it stays out of `make check`.
 fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/dist/
 	$(GO) test -run NONE -fuzz '^FuzzReadHello$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run NONE -fuzz '^FuzzDecodeDigest$$' -fuzztime 10s ./internal/obs/
+	$(GO) test -run NONE -fuzz '^FuzzDecodeADL$$' -fuzztime 10s ./internal/adl/
+	$(GO) test -run NONE -fuzz '^FuzzDecodeDeployment$$' -fuzztime 10s ./internal/adl/
 
 # benchmark/ is a module of its own (outside ./...), so the checks
 # above never compile it: vet and race-test it here, so an API change

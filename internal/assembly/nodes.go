@@ -37,10 +37,12 @@ type Node interface {
 
 // taskHolder carries a component's release hooks to the notify ports
 // bound to it: its sporadic task, wired once threads are spawned, and
-// the wake channel its pacer driver installs while it runs.
+// the wake channel its pacer driver installs while it runs. It also
+// holds the driver's slot on the pacer's release clock.
 type taskHolder struct {
 	task *sched.Task
 	wake atomic.Pointer[chan struct{}]
+	slot releaseSlot
 }
 
 // notifyPort wraps an async stub so that each Send also releases the

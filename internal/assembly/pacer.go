@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"soleil/internal/model"
+	"soleil/internal/rtsj/clock"
 	"soleil/internal/rtsj/thread"
 )
 
@@ -20,9 +21,11 @@ import (
 // period; sporadic and aperiodic components are released on arrival)
 // against the real clock, with thread-body errors absorbed
 // resiliently so a failing component degrades under supervision
-// instead of taking its driver down.
+// instead of taking its driver down. Every timed release is a deadline
+// on the pacer's one release clock.
 type Pacer struct {
-	sys *System
+	sys   *System
+	clock releaseClock
 
 	activations atomic.Int64
 	deliveries  atomic.Int64
@@ -50,7 +53,9 @@ func NewPacer(sys *System, _ PacerOptions) (*Pacer, error) {
 	if sys.Mode() != Soleil {
 		return nil, fmt.Errorf("assembly: pacer requires SOLEIL mode, not %v", sys.Mode())
 	}
-	return &Pacer{sys: sys}, nil
+	p := &Pacer{sys: sys}
+	p.clock.report = func(err error) { sys.recordErr(fmt.Errorf("assembly: pacer release clock: %w", err)) }
+	return p, nil
 }
 
 // Run starts the system (if needed) and launches one driver goroutine
@@ -80,6 +85,7 @@ func (p *Pacer) Run() error {
 		if err != nil {
 			close(p.stop)
 			p.wg.Wait()
+			p.clock.close()
 			return fmt.Errorf("assembly: pacer env for %q: %w", c.Name(), err)
 		}
 		p.wg.Add(1)
@@ -90,24 +96,30 @@ func (p *Pacer) Run() error {
 }
 
 // drive is one component's release loop. A periodic component is
-// released at its period. A sporadic or aperiodic one is released by
-// notify ports signalling the wake channel h carries while the driver
-// runs; it starts signalled, so the first release drains whatever was
-// queued before. A sporadic release comes no sooner than its minimum
+// released at its period; a release that overran the next period is
+// followed at once by one more, and the periods passed meanwhile are
+// skipped. A sporadic or aperiodic one is released by notify ports
+// signalling the wake channel h carries while the driver runs; it
+// starts signalled, so the first release drains whatever was queued
+// before. A sporadic release comes no sooner than its minimum
 // interarrival time after the previous one. An arrival-driven release
-// whose drain stops on an error is repeated after retryDelay.
+// whose drain stops on an error is repeated after retryDelay. Each
+// timed release is a deadline in the component's slot on the release
+// clock, which posts on the channel the driver waits on.
 func (p *Pacer) drive(node Node, act model.Activation, h *taskHolder, env *thread.Env, closeEnv func()) {
 	defer p.wg.Done()
 	defer closeEnv()
-	var tick <-chan time.Time
-	var wake chan struct{}
-	if act.Kind == model.PeriodicActivation {
-		ticker := time.NewTicker(act.Period)
-		defer ticker.Stop()
-		tick = ticker.C
+	slot := &h.slot
+	periodic := act.Kind == model.PeriodicActivation
+	var next clock.Time // a periodic component's next release
+	if periodic {
+		slot.rel = make(chan struct{}, 1)
+		next = clock.Mono().Add(act.Period)
+		p.clock.arm(slot, next)
 	} else {
-		wake = make(chan struct{}, 1)
+		wake := make(chan struct{}, 1)
 		wake <- struct{}{}
+		slot.rel = wake
 		h.wake.Store(&wake)
 		defer h.wake.Store(nil)
 	}
@@ -118,31 +130,44 @@ func (p *Pacer) drive(node Node, act model.Activation, h *taskHolder, env *threa
 	// A periodic component runs its own logic at every release, an
 	// aperiodic one at its first.
 	activate := act.Kind != model.SporadicActivation
-	var last time.Time
-	var retry <-chan time.Time
+	last := clock.Mono().Add(-mit)
+	armed := false // an arrival-driven driver's slot may hold a deadline
 	for {
 		select {
 		case <-p.stop:
 			return
-		case <-tick:
-		case <-wake:
-		case <-retry:
+		case <-slot.rel:
 		}
-		if wait := mit - time.Since(last); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-p.stop:
-				t.Stop()
-				return
-			case <-t.C:
+		switch {
+		case periodic:
+			now := clock.Mono()
+			next = next.Add(act.Period)
+			if !next.After(now) {
+				next = next.Add(now.Sub(next)/act.Period*act.Period + act.Period)
 			}
+			p.clock.arm(slot, next)
+		case clock.Mono().Before(last.Add(mit)):
+			p.clock.arm(slot, last.Add(mit))
+			armed = true
+			continue
+		default:
+			if armed {
+				p.clock.cancel(slot)
+				armed = false
+			}
+			// A signal posted by now is for a message this release
+			// drains.
+			select {
+			case <-slot.rel:
+			default:
+			}
+			last = clock.Mono()
 		}
-		last = time.Now()
-		retry = nil
-		if !p.step(node, env, activate) && wake != nil {
-			retry = time.After(retryDelay)
+		if !p.step(node, env, activate) && !periodic {
+			p.clock.arm(slot, clock.Mono().Add(retryDelay))
+			armed = true
 		}
-		activate = act.Kind == model.PeriodicActivation
+		activate = periodic
 	}
 }
 
@@ -206,5 +231,6 @@ func (p *Pacer) Close() {
 	}
 	close(p.stop)
 	p.wg.Wait()
+	p.clock.close()
 	p.started = false
 }

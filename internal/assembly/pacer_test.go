@@ -2,12 +2,17 @@ package assembly
 
 import (
 	"errors"
+	"os"
+	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"soleil/internal/membrane"
 	"soleil/internal/model"
+	"soleil/internal/rtsj/clock"
 	"soleil/internal/rtsj/thread"
 )
 
@@ -57,10 +62,17 @@ func (s *pacerSink) Invoke(env *thread.Env, itf, op string, arg any) (any, error
 
 func (s *pacerSink) Activate(*thread.Env) error { return nil }
 
+// pacedSystem deploys a 1ms periodic Source sending to Sink over an
+// asynchronous binding.
 func pacedSystem(t *testing.T, src *pacerSource, snk *pacerSink, sinkAct model.Activation) *System {
 	t.Helper()
+	return pacedSystemWith(t, src, snk, model.Activation{Kind: model.PeriodicActivation, Period: time.Millisecond}, sinkAct)
+}
+
+func pacedSystemWith(t *testing.T, src *pacerSource, snk *pacerSink, srcAct, sinkAct model.Activation) *System {
+	t.Helper()
 	a := model.NewArchitecture("paced")
-	source, err := a.NewActive("Source", model.Activation{Kind: model.PeriodicActivation, Period: time.Millisecond})
+	source, err := a.NewActive("Source", srcAct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +358,178 @@ func TestPacerRetriesFailedDrain(t *testing.T) {
 	defer p.Close()
 	if !waitFor(2*time.Second, func() bool { return snk.got.Load() == 2 }) {
 		t.Fatalf("sink saw %d of the 2 messages behind the failed one within 2s", snk.got.Load())
+	}
+}
+
+// stampNode wraps a deployed node and records when the pacer releases
+// it: the start of each drain and of each activation. A drain that
+// delivered something is signalled on drained, once it has returned.
+type stampNode struct {
+	Node
+	mu                  sync.Mutex
+	delivers, activates []clock.Time
+	drained             chan struct{}
+}
+
+// stamp starts sys, so that its membranes are started before their
+// nodes are wrapped, and replaces the named node with a stampNode. Call
+// it before the pacer is created.
+func stamp(t *testing.T, sys *System, name string) *stampNode {
+	t.Helper()
+	if err := sys.Start(); err != nil {
+		t.Fatal(err)
+	}
+	n, ok := sys.nodes[name]
+	if !ok {
+		t.Fatalf("no node %q", name)
+	}
+	sn := &stampNode{Node: n, drained: make(chan struct{}, 1)}
+	sys.nodes[name] = sn
+	return sn
+}
+
+func (n *stampNode) Deliver(env *thread.Env) (int, error) {
+	n.mu.Lock()
+	n.delivers = append(n.delivers, clock.Mono())
+	n.mu.Unlock()
+	got, err := n.Node.Deliver(env)
+	if got > 0 {
+		select {
+		case n.drained <- struct{}{}:
+		default:
+		}
+	}
+	return got, err
+}
+
+func (n *stampNode) Activate(env *thread.Env) error {
+	n.mu.Lock()
+	n.activates = append(n.activates, clock.Mono())
+	n.mu.Unlock()
+	return n.Node.Activate(env)
+}
+
+// gaps returns the sorted differences between consecutive stamps.
+func (n *stampNode) gaps(stamps *[]clock.Time) []time.Duration {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var gaps []time.Duration
+	for i := 1; i < len(*stamps); i++ {
+		gaps = append(gaps, (*stamps)[i].Sub((*stamps)[i-1]))
+	}
+	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	return gaps
+}
+
+// A sporadic server whose next message arrives as soon as the release
+// that delivered the previous one has returned is released once per
+// minimum interarrival time: never sooner, and not a coarse timer tick
+// later.
+func TestPacerReleasesSporadicAtItsMIT(t *testing.T) {
+	const mit = 200 * time.Microsecond
+	src := &pacerSource{}
+	snk := &pacerSink{}
+	sys := pacedSystem(t, src, snk, model.Activation{Kind: model.SporadicActivation, Period: mit})
+	src.fail.Store(true) // the test sends; the source stays silent
+	sink := stamp(t, sys, "Sink")
+	p, err := NewPacer(sys, PacerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 50; i++ {
+		sendFrom(t, sys, "Source", "out")
+		select {
+		case <-sink.drained:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("message %d not delivered within 2s", i)
+		}
+	}
+	gaps := sink.gaps(&sink.delivers)
+	if len(gaps) < 49 {
+		t.Fatalf("%d release gaps for 50 deliveries, want >= 49", len(gaps))
+	}
+	if gaps[0] < mit {
+		t.Fatalf("releases %v apart, inside the %v minimum interarrival time", gaps[0], mit)
+	}
+	if med := gaps[len(gaps)/2]; med >= mit+300*time.Microsecond {
+		t.Fatalf("median release gap %v, want < MIT + 300µs = %v (gaps %v .. %v)", med, mit+300*time.Microsecond, gaps[0], gaps[len(gaps)-1])
+	}
+}
+
+// A sub-millisecond period is kept: the releases do not fall back to
+// the coarse rate of a Go ticker on an idle process.
+func TestPacerKeepsSubMillisecondPeriod(t *testing.T) {
+	const period = 250 * time.Microsecond
+	src := &pacerSource{}
+	snk := &pacerSink{}
+	sys := pacedSystemWith(t, src, snk, model.Activation{Kind: model.PeriodicActivation, Period: period}, sporadicSink)
+	source := stamp(t, sys, "Source")
+	p, err := NewPacer(sys, PacerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	p.Close()
+	gaps := source.gaps(&source.activates)
+	if len(gaps) < 10 {
+		t.Fatalf("%d activations in 100ms at a %v period", len(gaps)+1, period)
+	}
+	if med := gaps[len(gaps)/2]; med >= 2*period {
+		t.Fatalf("median activation gap %v over %d activations, want < %v", med, len(gaps)+1, 2*period)
+	}
+}
+
+// openFDs counts the process's open descriptors, or returns -1 where
+// /proc/self/fd does not exist.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	if runtime.GOOS != "linux" {
+		return -1
+	}
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+// Each Run opens the release clock's alarm (the periodic source arms it
+// at once, the sink's MIT on its second arrival) and each Close must
+// release it: its goroutine and its descriptor.
+func TestPacerRunCloseCyclesLeakNothing(t *testing.T) {
+	src := &pacerSource{}
+	snk := &pacerSink{}
+	sys := pacedSystem(t, src, snk, model.Activation{Kind: model.SporadicActivation, Period: 2 * time.Millisecond})
+	p, err := NewPacer(sys, PacerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func(i int) {
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := snk.got.Load()
+		if !waitFor(2*time.Second, func() bool { return snk.got.Load() >= got+2 }) {
+			t.Fatalf("cycle %d: sink saw %d of 2 messages within 2s", i, snk.got.Load()-got)
+		}
+		p.Close()
+	}
+	cycle(0) // lets the runtime open its own poller descriptors
+	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+	for i := 1; i <= 100; i++ {
+		cycle(i)
+	}
+	if !waitFor(2*time.Second, func() bool { return runtime.NumGoroutine() <= goroutines }) {
+		t.Fatalf("%d goroutines after 100 Run/Close cycles, %d before", runtime.NumGoroutine(), goroutines)
+	}
+	if n := openFDs(t); n > fds {
+		t.Fatalf("%d open descriptors after 100 Run/Close cycles, %d before", n, fds)
 	}
 }

@@ -27,10 +27,10 @@ func TestNewBufferValidation(t *testing.T) {
 // slot ring make cannot allocate.
 func TestNewBufferRefusesHugeCapacity(t *testing.T) {
 	rt := memory.NewRuntime()
-	if _, err := NewRTBuffer("b", 1<<50, rt.Heap(), 1); err == nil {
-		t.Fatal("a 2^50-slot heap buffer was accepted")
+	if _, err := NewRTBuffer("b", math.MaxInt, rt.Heap(), 1); err == nil {
+		t.Fatal("a MaxInt-slot heap buffer was accepted")
 	}
-	if _, err := NewRTBuffer("b", math.MaxInt64/4, rt.Immortal(), 8); err == nil {
+	if _, err := NewRTBuffer("b", math.MaxInt/4, rt.Immortal(), 8); err == nil {
 		t.Fatal("a capacity above the bound was accepted")
 	}
 }

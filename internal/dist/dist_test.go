@@ -15,12 +15,12 @@ import (
 
 // tick is the distributed payload.
 type tick struct {
-	Seq int
+	Seq int64
 }
 
 // sinkContent counts received ticks.
 type sinkContent struct {
-	got []int
+	got []int64
 }
 
 func (s *sinkContent) Init(*membrane.Services) error { return nil }
@@ -37,7 +37,7 @@ func (s *sinkContent) Invoke(env *thread.Env, itf, op string, arg any) (any, err
 // sourceContent emits ticks through its single port.
 type sourceContent struct {
 	svc *membrane.Services
-	seq int
+	seq int64
 }
 
 func (s *sourceContent) Init(svc *membrane.Services) error { s.svc = svc; return nil }

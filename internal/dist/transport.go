@@ -8,7 +8,8 @@
 // scoped references from escaping also keeps them node-local. The
 // wire envelope (wire.go) is a fixed binary layout: interface,
 // operation and span context, then the argument, natively for int and
-// int64 and as gob for any other (registered) payload type.
+// int64 and as gob for any other (registered) payload type, sealed by
+// a CRC-32C that a receiver checks before it reads anything.
 //
 // The design follows the DiSCo space-oriented middleware the paper
 // relates to (Sect. 6): components keep their local RTSJ disciplines;

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 
 	"soleil/internal/obs"
 )
@@ -20,7 +21,7 @@ type envelope struct {
 	Trace     obs.SpanContext
 }
 
-// Wire format, version 1. An envelope is
+// Wire format, version 2. An envelope is
 //
 //	byte        version (wireVersion)
 //	uvarint     len(Interface), then its bytes
@@ -28,15 +29,20 @@ type envelope struct {
 //	uint64      Trace.TraceID, little-endian
 //	uint64      Trace.SpanID, little-endian
 //	byte        argument tag
-//	rest        the argument: a zigzag varint for argInt64 and argInt,
+//	...         the argument: a zigzag varint for argInt64 and argInt,
 //	            one gob encoding of the value for argGob
+//	uint32      CRC-32C (Castagnoli) of every byte before it,
+//	            little-endian
 //
 // The binding's interface and operation are fixed by the plan, so the
 // frame describes nothing it does not carry. Only the argument can be
 // of a type the receiver must be told; the two scalars the links carry
 // get their own tags, and every other value (nil included) falls back
-// to gob, which is why such types must be registered.
-const wireVersion = 1
+// to gob, which is why such types must be registered. The checksum
+// makes a corrupted envelope fail to decode instead of arriving with
+// an altered span or argument: TCP checksums its own segments, but a
+// pipe or any other transport does not.
+const wireVersion = 2
 
 const (
 	argInt64 = 1
@@ -46,8 +52,17 @@ const (
 
 // scalarRoom is the most an envelope with a scalar argument needs
 // beyond its two names: the version, two uvarint lengths, the span,
-// the tag and the varint.
-const scalarRoom = 1 + 2*binary.MaxVarintLen64 + 16 + 1 + binary.MaxVarintLen64
+// the tag, the varint and the checksum.
+const scalarRoom = 1 + 2*binary.MaxVarintLen64 + 16 + 1 + binary.MaxVarintLen64 + crc32.Size
+
+// castagnoli is the CRC-32C table; the hardware computes it where the
+// CPU can.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// seal appends the checksum of the envelope that starts at dst[start].
+func seal(dst []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
 
 // RegisterPayload registers a message payload type with gob. Links
 // encode int and int64 arguments natively; every other concrete type
@@ -76,9 +91,9 @@ func AppendMessage(dst []byte, itf, op string, arg any, span obs.SpanContext) ([
 	dst = binary.LittleEndian.AppendUint64(dst, span.SpanID)
 	switch v := arg.(type) {
 	case int64:
-		return binary.AppendVarint(append(dst, argInt64), v), nil
+		return seal(binary.AppendVarint(append(dst, argInt64), v), start), nil
 	case int:
-		return binary.AppendVarint(append(dst, argInt), int64(v)), nil
+		return seal(binary.AppendVarint(append(dst, argInt), int64(v)), start), nil
 	}
 	// Encoding through a pointer to the interface carries the
 	// argument's registered type name, and encodes nil too. The copy
@@ -88,7 +103,7 @@ func AppendMessage(dst []byte, itf, op string, arg any, span obs.SpanContext) ([
 	if err := gob.NewEncoder(buf).Encode(&v); err != nil {
 		return dst[:start], fmt.Errorf("dist: encode %s.%s: %w", itf, op, err)
 	}
-	return buf.Bytes(), nil
+	return seal(buf.Bytes(), start), nil
 }
 
 // AppendString appends s as a uvarint length and its bytes, the
@@ -113,13 +128,22 @@ func decodeError(format string, args ...any) error {
 	return fmt.Errorf("dist: decode: "+format, args...)
 }
 
-// decode parses one envelope written by AppendMessage. Every length is
-// checked against the bytes that remain before anything is sliced, and
-// the envelope must span the payload exactly.
+// decode parses one envelope written by AppendMessage. The checksum is
+// verified first; then every length is checked against the bytes that
+// remain before anything is sliced, and the envelope must span the
+// payload exactly.
 func decode(p []byte) (envelope, error) {
 	if len(p) == 0 || p[0] != wireVersion {
 		return envelope{}, decodeError("not a version %d envelope", wireVersion)
 	}
+	if len(p) < 1+crc32.Size {
+		return envelope{}, decodeError("truncated checksum")
+	}
+	body, sum := p[:len(p)-crc32.Size], p[len(p)-crc32.Size:]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
+		return envelope{}, decodeError("checksum mismatch")
+	}
+	p = body
 	var e envelope
 	var ok bool
 	if e.Interface, p, ok = ReadString(p[1:]); !ok {

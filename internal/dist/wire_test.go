@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"strconv"
@@ -80,9 +82,37 @@ func TestWireRejectsUnknownVersionAndTag(t *testing.T) {
 		t.Errorf("unknown version: %v", err)
 	}
 	bad = append([]byte(nil), frame...)
-	bad[len(bad)-2] = 99 // the tag, before the one-byte varint
-	if _, err := decode(bad); err == nil || !strings.Contains(err.Error(), "tag") {
+	bad[len(bad)-crc32.Size-2] = 99 // the tag, before the one-byte varint
+	if _, err := decode(reseal(bad)); err == nil || !strings.Contains(err.Error(), "tag") {
 		t.Errorf("unknown tag: %v", err)
+	}
+}
+
+// reseal recomputes the checksum of an envelope a test altered, so that
+// decode reaches the checks behind it.
+func reseal(frame []byte) []byte {
+	body := frame[:len(frame)-crc32.Size]
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// TestWireChecksumRefusesEveryCorruptByte: every corruption confined to
+// one byte of an envelope, in its names, span, argument or checksum, is
+// refused rather than delivered as a different message.
+func TestWireChecksumRefusesEveryCorruptByte(t *testing.T) {
+	span := obs.SpanContext{TraceID: 0xfeedfacecafebeef, SpanID: 0x0123456789abcdef}
+	frame, err := AppendMessage(nil, "in", "put", int64(1<<40), span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := make([]byte, len(frame))
+	for i := range frame {
+		for mask := 1; mask < 256; mask++ {
+			copy(bad, frame)
+			bad[i] ^= byte(mask)
+			if e, err := decode(bad); err == nil || !strings.HasPrefix(err.Error(), "dist: decode: ") {
+				t.Fatalf("byte %d of %d xor %#02x: decoded %+v, %v", i, len(frame), mask, e, err)
+			}
+		}
 	}
 }
 
@@ -93,10 +123,10 @@ func TestWireIntMustFitTheReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame[len(frame)-11] = argInt // re-tag the 10-byte varint as an int
-	e, err := decode(frame)
+	frame[len(frame)-crc32.Size-11] = argInt // re-tag the 10-byte varint as an int
+	e, err := decode(reseal(frame))
 	if strconv.IntSize == 64 {
-		if err != nil || e.Arg != int(math.MaxInt64) {
+		if err != nil || e.Arg != math.MaxInt {
 			t.Fatalf("64-bit int: %v, %v", e.Arg, err)
 		}
 	} else if err == nil || !strings.Contains(err.Error(), "overflows") {

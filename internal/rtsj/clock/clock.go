@@ -1,18 +1,19 @@
-// Package clock provides the time base for the simulated RTSJ runtime.
+// Package clock provides the time bases of the RTSJ runtime.
 //
 // The Real-Time Specification for Java assumes a high-resolution,
 // monotonic clock with well-defined semantics for absolute and relative
-// times (RTSJ chapter 9). Because this reproduction runs the real-time
-// machinery as a user-level simulation, two clock implementations are
-// provided:
+// times (RTSJ chapter 9). The runtime runs its real-time machinery in
+// two ways, and each has its own time base:
 //
 //   - Virtual: a logical clock advanced explicitly by the scheduler.
 //     It is fully deterministic and is what every scheduling decision,
 //     release time and deadline in the simulated runtime is expressed
 //     against.
-//   - Wall: a thin wrapper over the host monotonic clock, used by the
-//     benchmark harness to time the generated execution infrastructures
-//     (the paper's Fig. 7 measurements are wall-clock measurements).
+//   - Mono and Alarm: the host monotonic clock, read as an instant
+//     since process start, and a one-shot alarm set against it that
+//     wakes its waiter within microseconds of the deadline. The
+//     wall-clock pacer releases periodic and sporadic components on
+//     them.
 package clock
 
 import (
@@ -22,8 +23,8 @@ import (
 )
 
 // Time is an instant on a Clock, expressed in nanoseconds since the
-// clock's epoch. The virtual clock's epoch is its creation; the wall
-// clock's epoch is process start.
+// clock's epoch. The virtual clock's epoch is its creation; Mono's is
+// process start.
 type Time int64
 
 // Duration re-exports time.Duration for call-site convenience.
@@ -104,15 +105,9 @@ func (c *Virtual) AdvanceTo(t Time) error {
 	return nil
 }
 
-// Wall is a monotonic wall clock relative to process start.
-type Wall struct {
-	start time.Time
-}
+// epoch is the instant Mono reads as zero.
+var epoch = time.Now()
 
-var _ Clock = (*Wall)(nil)
-
-// NewWall returns a wall clock whose epoch is the moment of the call.
-func NewWall() *Wall { return &Wall{start: time.Now()} }
-
-// Now returns the elapsed monotonic time since the epoch.
-func (c *Wall) Now() Time { return Time(time.Since(c.start)) }
+// Mono returns the host monotonic clock's reading as an instant since
+// process start. Alarm deadlines are instants of Mono.
+func Mono() Time { return Time(time.Since(epoch)) }

@@ -128,13 +128,12 @@ func TestVirtualMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestWallMonotonic(t *testing.T) {
-	c := NewWall()
-	a := c.Now()
+func TestMonoMonotonic(t *testing.T) {
+	a := Mono()
 	time.Sleep(time.Millisecond)
-	b := c.Now()
-	if !b.After(a) {
-		t.Fatalf("wall clock not monotonic: %v then %v", a, b)
+	b := Mono()
+	if !b.After(a) || b.Sub(a) < time.Millisecond {
+		t.Fatalf("Mono not monotonic: %v then %v across a 1ms sleep", a, b)
 	}
 }
 
