@@ -116,9 +116,9 @@ sarif:
 	@echo "wrote soleil.sarif soleil-arch.sarif"
 
 # Empirical counterpart of the //soleil:noheap annotations: run the
-# metered-dispatch, admission-gate, async-buffer, observability,
-# link-encode and release-clock hot-path benchmarks with -benchmem and
-# fail if any reports a non-zero allocs/op.
+# metered-dispatch, admission-gate, async-buffer, local async-hop,
+# observability, link-encode and release-clock hot-path benchmarks
+# with -benchmem and fail if any reports a non-zero allocs/op.
 benchcheck:
 	@out=$$($(GO) test -run NONE -bench 'HotPath|DispatchMetered|DispatchAdmitted|GateAdmit' -benchmem -benchtime 1000x \
 		./internal/obs/ ./internal/membrane/ ./internal/qos/ ./internal/comm/ ./internal/dist/ ./internal/assembly/) || { echo "$$out"; exit 1; }; \
@@ -127,14 +127,17 @@ benchcheck:
 	$(GO) test -run TestSummaryBudget ./internal/lint/
 
 # Fuzz smoke over the decoders that read untrusted bytes: the message
-# envelope, the connection hello, the heartbeat latency digest and the
-# ADL's architecture and deployment documents, 10 s each. Plain
+# envelope, the connection hello, a link's framed receive path (beat,
+# stats, data and unknown frames through the connection transport and
+# the session), the heartbeat latency digest and the ADL's
+# architecture and deployment documents, 10 s each. Plain
 # `go test` already replays each target's seeds and its checked-in
 # corpus under testdata/fuzz; this target searches for new inputs, so
 # it stays out of `make check`.
 fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s ./internal/dist/
 	$(GO) test -run NONE -fuzz '^FuzzReadHello$$' -fuzztime 10s ./internal/cluster/
+	$(GO) test -run NONE -fuzz '^FuzzSessionReceive$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run NONE -fuzz '^FuzzDecodeDigest$$' -fuzztime 10s ./internal/obs/
 	$(GO) test -run NONE -fuzz '^FuzzDecodeADL$$' -fuzztime 10s ./internal/adl/
 	$(GO) test -run NONE -fuzz '^FuzzDecodeDeployment$$' -fuzztime 10s ./internal/adl/

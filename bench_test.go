@@ -190,7 +190,7 @@ func BenchmarkAblationBufferCapacity(b *testing.B) {
 		name := map[int]string{1: "cap-1", 10: "cap-10", 64: "cap-64", 256: "cap-256"}[capacity]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := buf.Enqueue(ctx, i); err != nil {
+				if err := buf.Enqueue(ctx, comm.Message{Interface: "i", Op: "put", Arg: i}); err != nil {
 					b.Fatal(err)
 				}
 				if _, ok, err := buf.Dequeue(ctx); err != nil || !ok {

@@ -212,16 +212,12 @@ func (n *mergedNode) Deliver(env *thread.Env) (int, error) {
 	total := 0
 	for _, buf := range n.inbound {
 		for {
-			v, ok, err := buf.Dequeue(env.Mem())
+			msg, ok, err := buf.Dequeue(env.Mem())
 			if err != nil {
 				return total, err
 			}
 			if !ok {
 				break
-			}
-			msg, isMsg := v.(membrane.AsyncMessage)
-			if !isMsg {
-				return total, fmt.Errorf("assembly: foreign message %T on %s", v, buf.Name())
 			}
 			if _, err := n.Invoke(env, msg.Interface, msg.Op, msg.Arg); err != nil {
 				return total, err

@@ -60,14 +60,21 @@ func NewPacer(sys *System, _ PacerOptions) (*Pacer, error) {
 
 // Run starts the system (if needed) and launches one driver goroutine
 // per active component. It returns immediately; Close stops and joins
-// the drivers.
+// the drivers. A system has at most one running pacer: Run fails while
+// another pacer of the same system runs, because the two would share
+// each component's release slot and wake channel, and each inbound
+// binding's skeleton, which has one consumer.
 func (p *Pacer) Run() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.started {
 		return nil
 	}
+	if !p.sys.pacer.CompareAndSwap(nil, p) {
+		return fmt.Errorf("assembly: system %q already has a running pacer", p.sys.Architecture().Name())
+	}
 	if err := p.sys.Start(); err != nil {
+		p.sys.pacer.Store(nil)
 		return err
 	}
 	p.stop = make(chan struct{})
@@ -86,6 +93,7 @@ func (p *Pacer) Run() error {
 			close(p.stop)
 			p.wg.Wait()
 			p.clock.close()
+			p.sys.pacer.Store(nil)
 			return fmt.Errorf("assembly: pacer env for %q: %w", c.Name(), err)
 		}
 		p.wg.Add(1)
@@ -222,7 +230,7 @@ func (p *Pacer) Errors() int64 { return p.errors.Load() }
 
 // Close stops the drivers and waits for them to finish. The system
 // itself stays up (components remain started); a pacer can be
-// re-created after Close.
+// re-created, or this one run again, after Close.
 func (p *Pacer) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -233,4 +241,5 @@ func (p *Pacer) Close() {
 	p.wg.Wait()
 	p.clock.close()
 	p.started = false
+	p.sys.pacer.Store(nil)
 }

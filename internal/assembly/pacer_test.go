@@ -12,6 +12,7 @@ import (
 
 	"soleil/internal/membrane"
 	"soleil/internal/model"
+	"soleil/internal/obs"
 	"soleil/internal/rtsj/clock"
 	"soleil/internal/rtsj/thread"
 )
@@ -71,6 +72,13 @@ func pacedSystem(t *testing.T, src *pacerSource, snk *pacerSink, sinkAct model.A
 
 func pacedSystemWith(t *testing.T, src *pacerSource, snk *pacerSink, srcAct, sinkAct model.Activation) *System {
 	t.Helper()
+	return deployPaced(t, src, snk, srcAct, sinkAct, nil)
+}
+
+// deployPaced deploys the Source → Sink architecture in SOLEIL mode,
+// resilient, instrumented when metrics is not nil.
+func deployPaced(t testing.TB, src *pacerSource, snk *pacerSink, srcAct, sinkAct model.Activation, metrics *obs.Registry) *System {
+	t.Helper()
 	a := model.NewArchitecture("paced")
 	source, err := a.NewActive("Source", srcAct)
 	if err != nil {
@@ -114,7 +122,7 @@ func pacedSystemWith(t *testing.T, src *pacerSource, snk *pacerSink, srcAct, sin
 	reg := NewRegistry()
 	_ = reg.Register("SourceImpl", func() membrane.Content { return src })
 	_ = reg.Register("SinkImpl", func() membrane.Content { return snk })
-	sys, err := Deploy(a, Config{Mode: Soleil, Registry: reg, Resilient: true})
+	sys, err := Deploy(a, Config{Mode: Soleil, Registry: reg, Resilient: true, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +253,65 @@ func TestPacerCloseJoinsDrivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
+}
+
+// Two running pacers on one system would share each component's
+// release slot and wake channel and drain each skeleton from two
+// goroutines, so a second Run is refused until the first pacer closes.
+func TestPacerRefusesASecondRunningPacer(t *testing.T) {
+	sys := pacedSystem(t, &pacerSource{}, &pacerSink{}, sporadicSink)
+	first, err := NewPacer(sys, PacerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewPacer(sys, PacerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Run(); err != nil {
+		t.Fatalf("running pacer's second Run: %v", err)
+	}
+	if err := second.Run(); err == nil {
+		second.Close()
+		first.Close()
+		t.Fatal("a second pacer ran a system that a running pacer drives")
+	}
+	first.Close()
+	if err := second.Run(); err != nil {
+		t.Fatalf("pacer after the first closed: %v", err)
+	}
+	if err := first.Run(); err == nil {
+		first.Close()
+		second.Close()
+		t.Fatal("a closed pacer ran again beside the running one")
+	}
+	second.Close()
+	if err := first.Run(); err != nil {
+		t.Fatalf("first pacer after the second closed: %v", err)
+	}
+	first.Close()
+
+	// Raced from two goroutines, exactly one Run wins.
+	var wg sync.WaitGroup
+	var won atomic.Int32
+	for _, p := range []*Pacer{first, second} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p.Run() == nil {
+				won.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	first.Close()
+	second.Close()
+	if n := won.Load(); n != 1 {
+		t.Fatalf("%d of two racing pacers ran the system, want 1", n)
+	}
 }
 
 func TestPacerRequiresSoleilMode(t *testing.T) {

@@ -3,6 +3,7 @@ package assembly
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"soleil/internal/comm"
@@ -77,6 +78,7 @@ type System struct {
 	started   bool
 	ran       bool
 	resilient bool
+	pacer     atomic.Pointer[Pacer] // the running pacer, if any; see Pacer.Run
 
 	metrics *obs.Registry
 	tracer  *obs.Tracer

@@ -2,7 +2,9 @@
 // framework: the bounded message buffers behind asynchronous bindings
 // (the ADL's bufferSize attribute). Every buffer is RTSJ-checked: its
 // slots live in a memory area and its transfers follow the deep-copy
-// pattern. All three generation modes use it.
+// pattern. All three generation modes use it. A message goes in and
+// comes out by value, into a box the buffer reuses, so passing one
+// allocates nothing once the buffer has reached its deepest queue.
 package comm
 
 import (
@@ -11,6 +13,7 @@ import (
 	"sync"
 
 	"soleil/internal/model"
+	"soleil/internal/obs"
 	"soleil/internal/patterns"
 	"soleil/internal/qos"
 	"soleil/internal/rtsj/memory"
@@ -44,14 +47,33 @@ func (s Stats) OverflowRate() float64 {
 	return float64(s.Dropped) / float64(offered)
 }
 
+// Message is the unit an asynchronous binding queues: the target
+// interface and operation, the argument, and the sender's span
+// context, so the causal trace survives the queue.
+type Message struct {
+	Interface string
+	Op        string
+	Arg       any
+	Trace     obs.SpanContext
+}
+
 // RTBuffer is the bounded FIFO behind an asynchronous binding. Its
 // message slots are preallocated in a designated non-scoped memory
 // area when the buffer is created — the standard RTSJ discipline for
-// immortal memory, whose allocations are permanent — as one slot
-// array, charged to the area as one object, and reused for the life
-// of the system, so steady-state message passing allocates nothing.
-// Transfers deep-copy payloads into and out of the slots (the
-// deep-copy pattern), and every access is checked against the
+// immortal memory, whose allocations are permanent — charged to the
+// area as one object and reused for the life of the system.
+//
+// The ring holds pointers to message boxes. A dequeued message's box
+// is zeroed and stays in its slot, which is now just behind the head:
+// the spare boxes fill the free slots behind the head, and the next
+// enqueue moves the one farthest behind to the tail. A new box is made
+// only when there is no spare, which happens only while the queue is
+// deeper than it has ever been. So a buffer holds as many boxes as its
+// high watermark, needs no storage besides its ring, and once that
+// depth has been reached, message passing allocates nothing.
+//
+// Transfers deep-copy a message's argument into and out of its box
+// (the deep-copy pattern), and every access is checked against the
 // caller's allocation context: a no-heap producer or consumer
 // touching a heap-hosted buffer faults, as it would on a real RTSJ
 // VM. A full buffer refuses new messages with ErrFull. It is safe for
@@ -61,9 +83,10 @@ type RTBuffer struct {
 	region *memory.Ref // the slot array's charge to its area; every access is checked against it
 
 	mu    sync.Mutex
-	ring  []any // the slots
-	head  int   // next dequeue position
+	ring  []*Message // count queued boxes from head, spare boxes in the slots just behind it
+	head  int        // next dequeue position
 	count int
+	spare int // zeroed boxes of dequeued messages, in ring[head-spare:head] cyclically
 	stats Stats
 }
 
@@ -96,7 +119,7 @@ func NewRTBuffer(name string, capacity int, area *memory.Area, slotSize int64) (
 	if err != nil {
 		return nil, fmt.Errorf("comm: preallocating slots of %q: %w", name, err)
 	}
-	return &RTBuffer{name: name, region: region, ring: make([]any, capacity)}, nil
+	return &RTBuffer{name: name, region: region, ring: make([]*Message, capacity)}, nil
 }
 
 // Name returns the buffer name.
@@ -124,13 +147,13 @@ func (b *RTBuffer) Stats() Stats {
 	return s
 }
 
-// Enqueue deep-copies payload into the tail slot under the producer's
+// Enqueue deep-copies m's argument into a box under the producer's
 // allocation context and queues it. The check, the store and the
 // publish happen in one critical section, so concurrent producers
-// never share a slot and a consumer never sees a half-written one. A
+// never share a box and a consumer never sees a half-written one. A
 // full buffer refuses before the producer's context is checked.
-func (b *RTBuffer) Enqueue(ctx *memory.Context, payload any) error {
-	v := patterns.CopyValue(payload)
+func (b *RTBuffer) Enqueue(ctx *memory.Context, m Message) error {
+	m.Arg = patterns.CopyValue(m.Arg)
 	b.mu.Lock()
 	if b.count == len(b.ring) {
 		b.stats.Dropped++
@@ -141,7 +164,19 @@ func (b *RTBuffer) Enqueue(ctx *memory.Context, payload any) error {
 		b.mu.Unlock()
 		return fmt.Errorf("comm: enqueue on %s: %w", b.name, err)
 	}
-	b.ring[(b.head+b.count)%len(b.ring)] = v
+	var box *Message
+	if b.spare > 0 {
+		// The spare farthest behind the head borders the free slots
+		// that lead to the tail; the others stay where they are.
+		from := (b.head - b.spare + len(b.ring)) % len(b.ring)
+		box = b.ring[from]
+		b.ring[from] = nil
+		b.spare--
+	} else {
+		box = new(Message) // the queue is deeper than ever before
+	}
+	*box = m
+	b.ring[(b.head+b.count)%len(b.ring)] = box
 	b.count++
 	b.stats.Enqueued++
 	if b.count > b.stats.MaxDepth {
@@ -151,27 +186,30 @@ func (b *RTBuffer) Enqueue(ctx *memory.Context, payload any) error {
 	return nil
 }
 
-// Dequeue removes the oldest message and returns its payload,
-// deep-copied out under the consumer's allocation context so the
-// consumer never holds a reference into the buffer's area. The slot
-// is read and cleared before head advances, so no producer can reuse
-// it mid-read. A load the consumer's context forbids still consumes
-// the message: retrying could never succeed.
-func (b *RTBuffer) Dequeue(ctx *memory.Context) (any, bool, error) {
+// Dequeue removes the oldest message and returns it with its argument
+// deep-copied out under the consumer's allocation context, so the
+// consumer never holds a reference into the buffer's area. The box is
+// read and zeroed before head advances past it and makes it spare, so
+// no producer can reuse it mid-read. A load the consumer's context
+// forbids still consumes the message: retrying could never succeed.
+func (b *RTBuffer) Dequeue(ctx *memory.Context) (Message, bool, error) {
 	b.mu.Lock()
 	if b.count == 0 {
 		b.mu.Unlock()
-		return nil, false, nil
+		return Message{}, false, nil
 	}
 	err := ctx.CheckLoad(b.region)
-	payload := b.ring[b.head]
-	b.ring[b.head] = nil
+	box := b.ring[b.head]
+	m := *box
+	*box = Message{}
 	b.head = (b.head + 1) % len(b.ring)
 	b.count--
+	b.spare++
 	b.stats.Dequeued++
 	b.mu.Unlock()
 	if err != nil {
-		return nil, true, fmt.Errorf("comm: dequeue on %s: %w", b.name, err)
+		return Message{}, true, fmt.Errorf("comm: dequeue on %s: %w", b.name, err)
 	}
-	return patterns.CopyValue(payload), true, nil
+	m.Arg = patterns.CopyValue(m.Arg)
+	return m, true, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"soleil/internal/obs"
 	"soleil/internal/rtsj/memory"
 )
 
@@ -55,7 +56,7 @@ func immortalBuffer(t *testing.T, capacity int) (*RTBuffer, *memory.Context) {
 func TestBufferFIFO(t *testing.T) {
 	b, ctx := immortalBuffer(t, 4)
 	for i := 0; i < 4; i++ {
-		if err := b.Enqueue(ctx, i); err != nil {
+		if err := b.Enqueue(ctx, Message{Arg: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,9 +64,9 @@ func TestBufferFIFO(t *testing.T) {
 		t.Fatal("accessors")
 	}
 	for i := 0; i < 4; i++ {
-		v, ok, err := b.Dequeue(ctx)
-		if err != nil || !ok || v != i {
-			t.Fatalf("dequeue %d = %v, %v, %v", i, v, ok, err)
+		m, ok, err := b.Dequeue(ctx)
+		if err != nil || !ok || m.Arg != i {
+			t.Fatalf("dequeue %d = %v, %v, %v", i, m, ok, err)
 		}
 	}
 	if _, ok, _ := b.Dequeue(ctx); ok {
@@ -75,9 +76,9 @@ func TestBufferFIFO(t *testing.T) {
 
 func TestBufferRefuse(t *testing.T) {
 	b, ctx := immortalBuffer(t, 2)
-	_ = b.Enqueue(ctx, 1)
-	_ = b.Enqueue(ctx, 2)
-	err := b.Enqueue(ctx, 3)
+	_ = b.Enqueue(ctx, Message{Arg: 1})
+	_ = b.Enqueue(ctx, Message{Arg: 2})
+	err := b.Enqueue(ctx, Message{Arg: 3})
 	if !errors.Is(err, ErrFull) {
 		t.Fatalf("overflow err = %v", err)
 	}
@@ -88,7 +89,8 @@ func TestBufferRefuse(t *testing.T) {
 }
 
 // Property: any interleaving of enqueues and dequeues preserves FIFO
-// order and never exceeds capacity.
+// order, never exceeds capacity and leaves the buffer holding exactly
+// as many boxes as its high watermark.
 func TestBufferFIFOProperty(t *testing.T) {
 	rt := memory.NewRuntime()
 	ctx, err := memory.NewContext(rt.Immortal(), false)
@@ -105,20 +107,20 @@ func TestBufferFIFOProperty(t *testing.T) {
 		next, expect := 0, 0
 		for _, enq := range ops {
 			if enq {
-				if err := b.Enqueue(ctx, next); err == nil {
+				if err := b.Enqueue(ctx, Message{Arg: next}); err == nil {
 					next++
 				} else if !errors.Is(err, ErrFull) {
 					return false
 				}
-			} else if v, ok, err := b.Dequeue(ctx); err != nil {
+			} else if m, ok, err := b.Dequeue(ctx); err != nil {
 				return false
 			} else if ok {
-				if v != expect {
+				if m.Arg != expect {
 					return false
 				}
 				expect++
 			}
-			if b.Len() > capacity {
+			if b.Len() > capacity || boxes(b) != b.Stats().MaxDepth {
 				return false
 			}
 		}
@@ -190,6 +192,9 @@ func TestNewRTBufferAllocsIndependentOfCapacity(t *testing.T) {
 	}
 }
 
+// TestRTBufferSteadyStateAllocatesNothing: once a buffer has held its
+// deepest queue, passing a message charges its area nothing more and
+// makes no Go allocation, the argument's deep copies included.
 func TestRTBufferSteadyStateAllocatesNothing(t *testing.T) {
 	rt, b := newRT(t)
 	ctx, err := memory.NewContext(rt.Immortal(), true)
@@ -199,15 +204,15 @@ func TestRTBufferSteadyStateAllocatesNothing(t *testing.T) {
 	defer ctx.Close()
 	before := rt.Immortal().Consumed()
 	for i := 0; i < 100; i++ {
-		if err := b.Enqueue(ctx, payload{seq: i}); err != nil {
+		if err := b.Enqueue(ctx, Message{Interface: "i", Op: "put", Arg: payload{seq: i}}); err != nil {
 			t.Fatal(err)
 		}
-		v, ok, err := b.Dequeue(ctx)
+		m, ok, err := b.Dequeue(ctx)
 		if err != nil || !ok {
 			t.Fatalf("dequeue %d: %v, %v", i, ok, err)
 		}
-		if v.(payload).seq != i {
-			t.Fatalf("message %d corrupted: %v", i, v)
+		if m.Arg.(payload).seq != i || m.Interface != "i" || m.Op != "put" {
+			t.Fatalf("message %d corrupted: %+v", i, m)
 		}
 	}
 	if got := rt.Immortal().Consumed(); got != before {
@@ -216,6 +221,107 @@ func TestRTBufferSteadyStateAllocatesNothing(t *testing.T) {
 	st := b.Stats()
 	if st.Enqueued != 100 || st.Dequeued != 100 {
 		t.Fatalf("stats = %+v", st)
+	}
+	msg := Message{Interface: "i", Op: "put", Arg: any(copied{n: 1}), Trace: obs.SpanContext{TraceID: 1, SpanID: 2}}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := b.Enqueue(ctx, msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := b.Dequeue(ctx); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a steady-state transfer makes %v Go allocations, want 0", allocs)
+	}
+}
+
+// copied is a Copier argument that counts its deep copies. A copy is
+// one small integer, which Go boxes without allocating, so any
+// allocation the steady-state test sees is the buffer's own.
+type copied struct{ n int }
+
+func (c copied) DeepCopy() any { return copied{n: c.n + 1} }
+
+// tracked is a Copier argument that owns memory: a copy must not share
+// its slice with the original.
+type tracked struct {
+	data  []int
+	nCopy int
+}
+
+func (c tracked) DeepCopy() any {
+	return tracked{data: append([]int(nil), c.data...), nCopy: c.nCopy + 1}
+}
+
+// TestRTBufferDeepCopiesArg: a message's argument is deep-copied on the
+// way in and again on the way out, so neither the producer's nor the
+// consumer's reference aliases the one the buffer held. The other
+// fields pass through unchanged, and an argument that is not a Copier
+// passes as it is.
+func TestRTBufferDeepCopiesArg(t *testing.T) {
+	b, ctx := immortalBuffer(t, 2)
+	span := obs.SpanContext{TraceID: 7, SpanID: 9}
+	orig := tracked{data: []int{1}}
+	if err := b.Enqueue(ctx, Message{Interface: "i", Op: "o", Arg: orig, Trace: span}); err != nil {
+		t.Fatal(err)
+	}
+	orig.data[0] = 99 // the producer reuses its memory after the send
+	m, ok, err := b.Dequeue(ctx)
+	if err != nil || !ok {
+		t.Fatalf("dequeue = %v, %v", ok, err)
+	}
+	if m.Interface != "i" || m.Op != "o" || m.Trace != span {
+		t.Fatalf("message = %+v", m)
+	}
+	got, isTracked := m.Arg.(tracked)
+	if !isTracked || got.nCopy != 2 {
+		t.Fatalf("argument %#v: want a tracked value copied twice, in and out", m.Arg)
+	}
+	if got.data[0] != 1 {
+		t.Fatalf("argument aliases the producer's memory: %v", got.data)
+	}
+	if err := b.Enqueue(ctx, Message{Arg: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if m, _, _ := b.Dequeue(ctx); m.Arg != 42 {
+		t.Fatalf("plain argument = %v", m.Arg)
+	}
+}
+
+// boxes counts the message boxes b holds, queued or spare.
+func boxes(b *RTBuffer) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.count + b.spare
+}
+
+// TestRTBufferBoxesBoundedByDepth: a buffer makes a box only when its
+// queue is deeper than ever before, so after bursts of depth at most d
+// it holds at most d boxes, however many messages passed through and
+// wherever in the ring they sat.
+func TestRTBufferBoxesBoundedByDepth(t *testing.T) {
+	b, ctx := immortalBuffer(t, 64)
+	if n := boxes(b); n != 0 {
+		t.Fatalf("a new buffer holds %d boxes, want 0", n)
+	}
+	const d = 5
+	for round, depth := range []int{d, 3, 1, d, 2, d, 4} {
+		for i := 0; i < depth; i++ {
+			if err := b.Enqueue(ctx, Message{Arg: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < depth; i++ {
+			if m, ok, err := b.Dequeue(ctx); err != nil || !ok || m.Arg != i {
+				t.Fatalf("round %d, message %d = %v, %v, %v", round, i, m, ok, err)
+			}
+		}
+		if n := boxes(b); n > d {
+			t.Fatalf("round %d: %d boxes after bursts of depth <= %d", round, n, d)
+		}
+	}
+	if n, hw := boxes(b), b.Stats().MaxDepth; n != hw {
+		t.Fatalf("%d boxes, high watermark %d", n, hw)
 	}
 }
 
@@ -231,7 +337,7 @@ func TestRTBufferNoHeapProducerOnHeapBuffer(t *testing.T) {
 	}
 	defer nhrt.Close()
 	var access *memory.MemoryAccessError
-	if err := b.Enqueue(nhrt, payload{}); !errors.As(err, &access) {
+	if err := b.Enqueue(nhrt, Message{Arg: payload{}}); !errors.As(err, &access) {
 		t.Fatalf("NHRT enqueue to heap buffer: %v", err)
 	}
 	// A regular producer works; an NHRT consumer then faults on read.
@@ -240,7 +346,7 @@ func TestRTBufferNoHeapProducerOnHeapBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	if err := b.Enqueue(reg, payload{seq: 1}); err != nil {
+	if err := b.Enqueue(reg, Message{Arg: payload{seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := b.Dequeue(nhrt); !errors.As(err, &access) {
@@ -253,11 +359,11 @@ func TestRTBufferNoHeapProducerOnHeapBuffer(t *testing.T) {
 	}
 	// A full buffer refuses before the producer's context is checked.
 	for i := 0; i < b.Cap(); i++ {
-		if err := b.Enqueue(reg, payload{seq: i}); err != nil {
+		if err := b.Enqueue(reg, Message{Arg: payload{seq: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Enqueue(nhrt, payload{}); !errors.Is(err, ErrFull) {
+	if err := b.Enqueue(nhrt, Message{Arg: payload{}}); !errors.Is(err, ErrFull) {
 		t.Fatalf("NHRT enqueue to a full heap buffer: %v, want ErrFull", err)
 	}
 }
@@ -273,16 +379,16 @@ func TestRTBufferOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctx.Close()
-	_ = b.Enqueue(ctx, 1)
-	_ = b.Enqueue(ctx, 2)
-	if err := b.Enqueue(ctx, 3); !errors.Is(err, ErrFull) {
+	_ = b.Enqueue(ctx, Message{Arg: 1})
+	_ = b.Enqueue(ctx, Message{Arg: 2})
+	if err := b.Enqueue(ctx, Message{Arg: 3}); !errors.Is(err, ErrFull) {
 		t.Fatalf("overflow = %v", err)
 	}
 	if _, ok, _ := b.Dequeue(ctx); !ok {
 		t.Fatal("dequeue failed")
 	}
-	if v, ok, _ := b.Dequeue(ctx); !ok || v != 2 {
-		t.Fatalf("order broken: %v", v)
+	if m, ok, _ := b.Dequeue(ctx); !ok || m.Arg != 2 {
+		t.Fatalf("order broken: %v", m)
 	}
 	if _, ok, _ := b.Dequeue(ctx); ok {
 		t.Fatal("empty dequeue succeeded")
@@ -294,9 +400,9 @@ func TestStatsReportsInstantDepth(t *testing.T) {
 	if got := b.Stats().Depth; got != 0 {
 		t.Fatalf("empty depth = %d", got)
 	}
-	_ = b.Enqueue(ctx, 1)
-	_ = b.Enqueue(ctx, 2)
-	_ = b.Enqueue(ctx, 3)
+	_ = b.Enqueue(ctx, Message{Arg: 1})
+	_ = b.Enqueue(ctx, Message{Arg: 2})
+	_ = b.Enqueue(ctx, Message{Arg: 3})
 	if st := b.Stats(); st.Depth != 3 || st.MaxDepth != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -311,12 +417,14 @@ func TestStatsReportsInstantDepth(t *testing.T) {
 
 // TestRTBufferConcurrentTransfersExactlyOnce streams values through a
 // two-slot ring while the consumer drains it concurrently: every
-// value must arrive exactly once and in its producer's order, with one
-// producer and with two. A slot reused before its load, or claimed by
-// two producers, shows up as a lost message plus a duplicate.
+// value must arrive exactly once and in its producer's order, with
+// one, two and three producers. A box reused before its load, or
+// claimed by two producers, shows up as a lost message plus a
+// duplicate. However the producers race, the buffer never holds more
+// boxes than slots.
 func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
 	const perProducer = 20000
-	for _, producers := range []int{1, 2} {
+	for _, producers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("producers=%d", producers), func(t *testing.T) {
 			rt := memory.NewRuntime()
 			b, err := NewRTBuffer("b", 2, rt.Immortal(), 16)
@@ -340,7 +448,7 @@ func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
 							for b.Len() == b.Cap() {
 								runtime.Gosched()
 							}
-							err := b.Enqueue(ctx, payload{seq: p*perProducer + i})
+							err := b.Enqueue(ctx, Message{Arg: p*perProducer + i})
 							if err == nil {
 								break
 							}
@@ -360,7 +468,7 @@ func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
 			next := make([]int, producers)
 			bad := 0
 			for got := 0; got < producers*perProducer; {
-				v, ok, err := b.Dequeue(ctx)
+				m, ok, err := b.Dequeue(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -369,7 +477,7 @@ func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
 					continue
 				}
 				got++
-				seq := v.(payload).seq
+				seq := m.Arg.(int)
 				p, i := seq/perProducer, seq%perProducer
 				if i != next[p] {
 					bad++
@@ -383,13 +491,17 @@ func TestRTBufferConcurrentTransfersExactlyOnce(t *testing.T) {
 			if st := b.Stats(); st.Enqueued != int64(producers*perProducer) || st.Depth != 0 {
 				t.Fatalf("stats = %+v", st)
 			}
+			if n := boxes(b); n > b.Cap() {
+				t.Fatalf("%d boxes in a %d-slot buffer", n, b.Cap())
+			}
 		})
 	}
 }
 
-// BenchmarkRTBufferHotPath is one message through an immortal buffer
-// under a no-heap context: the steady state of an asynchronous
-// binding. make benchcheck holds it at 0 allocs/op.
+// BenchmarkRTBufferHotPath is one message, as an asynchronous binding
+// queues it, through an immortal buffer under a no-heap context: the
+// steady state of the binding. make benchcheck holds it at 0
+// allocs/op.
 func BenchmarkRTBufferHotPath(b *testing.B) {
 	rt := memory.NewRuntime()
 	buf, err := NewRTBuffer("b", 256, rt.Immortal(), 64)
@@ -401,7 +513,7 @@ func BenchmarkRTBufferHotPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ctx.Close()
-	var msg any = payload{seq: 1}
+	msg := Message{Interface: "iMonitor", Op: "report", Arg: any(payload{seq: 1}), Trace: obs.SpanContext{TraceID: 1, SpanID: 2}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,10 +54,10 @@ func TestEnqueueErrorIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctx.Close()
-	if err := b.Enqueue(ctx, "a"); err != nil {
+	if err := b.Enqueue(ctx, Message{Arg: "a"}); err != nil {
 		t.Fatalf("first enqueue: %v", err)
 	}
-	err = b.Enqueue(ctx, "b")
+	err = b.Enqueue(ctx, Message{Arg: "b"})
 	if err == nil {
 		t.Fatal("second enqueue on a capacity-1 buffer must fail")
 	}

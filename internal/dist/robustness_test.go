@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +27,77 @@ func TestConnReceiveRefusesOversizedPrefix(t *testing.T) {
 	_, err := NewConn(server).Receive()
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("receive: %v", err)
+	}
+}
+
+// TestConnReceiveHoldsWhatArrived: a prefix may claim up to MaxFrame
+// and then send nothing. A Receive blocked on such a frame must hold
+// memory for the bytes that came, not for the claim: eight stalled
+// connections, each claiming MaxFrame, hold less than 1 MiB together.
+func TestConnReceiveHoldsWhatArrived(t *testing.T) {
+	const conns = 8
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	var wg sync.WaitGroup
+	writers := make([]net.Conn, 0, conns)
+	for i := 0; i < conns; i++ {
+		client, server := net.Pipe()
+		writers = append(writers, client)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer server.Close()
+			if _, err := NewConn(server).Receive(); err == nil {
+				t.Error("a truncated frame was received")
+			}
+		}()
+		var hdr [5]byte
+		binary.BigEndian.PutUint32(hdr[:4], MaxFrame)
+		// A pipe write returns once the reader has taken every byte,
+		// so after it the receiver holds its payload buffer.
+		if _, err := client.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := int64(heap()) - int64(before)
+	for _, c := range writers {
+		c.Close()
+	}
+	wg.Wait()
+	if held >= 1<<20 {
+		t.Fatalf("%d receives stalled on MaxFrame claims hold %d KiB, want < 1024", conns, held>>10)
+	}
+}
+
+// TestConnReceiveGrowsWithArrivingBytes: a frame larger than the read
+// chunk, written in small pieces, arrives whole and unchanged.
+func TestConnReceiveGrowsWithArrivingBytes(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	want := make([]byte, 5*frameChunk/2+3)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	go func() {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(want)))
+		frame = append(frame, want...)
+		for len(frame) > 0 {
+			k := min(len(frame), 1000)
+			if _, err := client.Write(frame[:k]); err != nil {
+				return
+			}
+			frame = frame[k:]
+		}
+	}()
+	got, err := NewConn(server).Receive()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("received %d bytes, %v; want the %d sent", len(got), err, len(want))
 	}
 }
 

@@ -208,12 +208,27 @@ func (t *connTransport) Receive() ([]byte, error) {
 		// one; refuse before allocating n bytes on a peer's say-so.
 		return nil, fmt.Errorf("%w: length prefix claims %d bytes (limit %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(t.conn, payload); err != nil {
-		return nil, mapClosed(err)
+	// Read the payload into a buffer that starts at one chunk and
+	// doubles only when it is full, so what a frame holds is bounded
+	// by the bytes that arrived, not by what the prefix claims.
+	payload := make([]byte, min(int(n), frameChunk))
+	got := 0
+	for {
+		k, err := io.ReadFull(t.conn, payload[got:])
+		got += k
+		if err != nil {
+			return nil, mapClosed(err)
+		}
+		if got == int(n) {
+			return payload, nil
+		}
+		payload = append(payload, make([]byte, min(int(n), 2*got)-got)...)
 	}
-	return payload, nil
 }
+
+// frameChunk is the most a Receive holds for a frame before that
+// frame's bytes arrive.
+const frameChunk = 64 << 10
 
 func (t *connTransport) Close() error { return t.conn.Close() }
 

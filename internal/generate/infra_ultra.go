@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"soleil/internal/comm"
-	"soleil/internal/membrane"
 	"soleil/internal/rtsj/memory"
 	"soleil/internal/rtsj/sched"
 	"soleil/internal/rtsj/thread"
@@ -82,7 +81,7 @@ func (s *System) invoke{{.GoName}}(env *thread.Env, op string, arg any) (any, er
 	s.{{.Var}}Invocations++
 {{- range .ClientCalls}}
 {{- if .Async}}
-	if err := s.{{.BufferVar}}.Enqueue(env.Mem(), membrane.AsyncMessage{Interface: {{printf "%q" .ServerItf}}, Op: {{printf "%q" .Op}}, Arg: arg}); err != nil {
+	if err := s.{{.BufferVar}}.Enqueue(env.Mem(), comm.Message{Interface: {{printf "%q" .ServerItf}}, Op: {{printf "%q" .Op}}, Arg: arg}); err != nil {
 		return nil, err
 	}
 	if tc := env.Sched(); tc != nil && s.{{.ServerVar}}Task != nil {
@@ -113,7 +112,7 @@ func (s *System) Activate{{.GoName}}(env *thread.Env) error {
 	_ = n
 {{- range .ClientCalls}}
 {{- if .Async}}
-	if err := s.{{.BufferVar}}.Enqueue(env.Mem(), membrane.AsyncMessage{Interface: {{printf "%q" .ServerItf}}, Op: {{printf "%q" .Op}}, Arg: n}); err != nil {
+	if err := s.{{.BufferVar}}.Enqueue(env.Mem(), comm.Message{Interface: {{printf "%q" .ServerItf}}, Op: {{printf "%q" .Op}}, Arg: n}); err != nil {
 		return err
 	}
 	if tc := env.Sched(); tc != nil && s.{{.ServerVar}}Task != nil {
@@ -144,14 +143,13 @@ func (s *System) Deliver{{.GoName}}(env *thread.Env) (int, error) {
 {{- $comp := .}}
 {{- range .InboundBuffers}}
 	for {
-		v, ok, err := s.{{.}}.Dequeue(env.Mem())
+		msg, ok, err := s.{{.}}.Dequeue(env.Mem())
 		if err != nil {
 			return total, err
 		}
 		if !ok {
 			break
 		}
-		msg := v.(membrane.AsyncMessage)
 		if _, err := s.invoke{{$comp.GoName}}(env, msg.Op, msg.Arg); err != nil {
 			return total, err
 		}

@@ -159,14 +159,13 @@ func (c *{{.GoName}}Component) Deliver(env *thread.Env) (int, error) {
 	total := 0
 	for _, buf := range c.inbound {
 		for {
-			v, ok, err := buf.Dequeue(env.Mem())
+			msg, ok, err := buf.Dequeue(env.Mem())
 			if err != nil {
 				return total, err
 			}
 			if !ok {
 				break
 			}
-			msg := v.(membrane.AsyncMessage)
 			if _, err := c.Invoke(env, msg.Interface, msg.Op, msg.Arg); err != nil {
 				return total, err
 			}

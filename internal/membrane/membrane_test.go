@@ -379,21 +379,6 @@ func TestSyncPortErrors(t *testing.T) {
 	}
 }
 
-func TestAsyncMessageDeepCopy(t *testing.T) {
-	msg := AsyncMessage{Interface: "i", Op: "o", Arg: copyTracked{data: []int{1}}}
-	cp, ok := msg.DeepCopy().(AsyncMessage)
-	if !ok || cp.Interface != "i" || cp.Op != "o" {
-		t.Fatalf("copy = %#v", cp)
-	}
-	if !cp.Arg.(copyTracked).copied {
-		t.Fatal("payload not deep-copied")
-	}
-	plain := AsyncMessage{Arg: 42}
-	if plain.DeepCopy().(AsyncMessage).Arg != 42 {
-		t.Fatal("plain payload copy")
-	}
-}
-
 // errorContent returns an error on invoke to exercise propagation
 // through the chain.
 type errorContent struct{}

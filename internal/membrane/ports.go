@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"soleil/internal/comm"
-	"soleil/internal/obs"
 	"soleil/internal/rtsj/sched"
 	"soleil/internal/rtsj/thread"
 )
@@ -40,28 +39,6 @@ func (p *FirePort) Send(env *thread.Env, op string, arg any) error {
 		return tc.Fire(p.Task)
 	}
 	return nil
-}
-
-// AsyncMessage is the unit queued on asynchronous bindings: the
-// target interface and operation plus the (deep-copied) argument and
-// the sender's span context, so the causal trace survives the queue.
-type AsyncMessage struct {
-	Interface string
-	Op        string
-	Arg       any
-	Trace     obs.SpanContext
-}
-
-// DeepCopy implements patterns.Copier.
-func (m AsyncMessage) DeepCopy() any {
-	return AsyncMessage{Interface: m.Interface, Op: m.Op, Arg: deepCopyArg(m.Arg), Trace: m.Trace}
-}
-
-func deepCopyArg(v any) any {
-	if c, ok := v.(interface{ DeepCopy() any }); ok {
-		return c.DeepCopy()
-	}
-	return v
 }
 
 // SyncPort is the client side of a synchronous binding: invocations
@@ -106,8 +83,9 @@ func (p *SyncPort) Send(env *thread.Env, op string, arg any) error {
 }
 
 // AsyncStub is the client side of an asynchronous binding: Send
-// deep-copies the message into the binding's buffer. Releasing the
-// server is left to the port that wraps the stub.
+// queues the message on the binding's buffer, which deep-copies its
+// argument. Releasing the server is left to the port that wraps the
+// stub.
 type AsyncStub struct {
 	buf *comm.RTBuffer
 	itf string
@@ -127,7 +105,7 @@ func NewAsyncStub(buf *comm.RTBuffer, itf string) (*AsyncStub, error) {
 // message, so the receiving dispatch parents correctly even though it
 // runs later, on the server's thread.
 func (p *AsyncStub) Send(env *thread.Env, op string, arg any) error {
-	return p.buf.Enqueue(env.Mem(), AsyncMessage{Interface: p.itf, Op: op, Arg: arg, Trace: env.Span()})
+	return p.buf.Enqueue(env.Mem(), comm.Message{Interface: p.itf, Op: op, Arg: arg, Trace: env.Span()})
 }
 
 // Call implements Port; asynchronous bindings cannot return results.
@@ -138,9 +116,17 @@ func (p *AsyncStub) Call(env *thread.Env, op string, arg any) (any, error) {
 // AsyncSkeleton is the server side of an asynchronous binding: it
 // drains the buffer and dispatches each message into the server
 // membrane under the server thread's environment.
+//
+// Every dispatch goes through one Invocation the skeleton reuses, so
+// a drain allocates nothing. That is safe because a skeleton has one
+// consumer, its component's driver: the component's thread under the
+// simulated scheduler, or the driver of the one Pacer that may run the
+// system at a time (a second Pacer's Run is refused). A skeleton must
+// not be drained from two goroutines at once.
 type AsyncSkeleton struct {
 	buf    *comm.RTBuffer
 	target *Membrane
+	inv    Invocation // the dispatch in progress; zero between dispatches
 }
 
 // NewAsyncSkeleton creates the skeleton draining buf into target.
@@ -157,20 +143,13 @@ func (s *AsyncSkeleton) Buffer() *comm.RTBuffer { return s.buf }
 // DrainOne dequeues and dispatches at most one message. It reports
 // whether a message was processed.
 func (s *AsyncSkeleton) DrainOne(env *thread.Env) (bool, error) {
-	v, ok, err := s.buf.Dequeue(env.Mem())
-	if err != nil {
+	msg, ok, err := s.buf.Dequeue(env.Mem())
+	if err != nil || !ok {
 		return false, err
 	}
-	if !ok {
-		return false, nil
-	}
-	msg, isMsg := v.(AsyncMessage)
-	if !isMsg {
-		return true, fmt.Errorf("membrane: foreign message %T on %s", v, s.buf.Name())
-	}
-	_, err = s.target.Dispatch(&Invocation{
-		Interface: msg.Interface, Op: msg.Op, Arg: msg.Arg, Env: env, Trace: msg.Trace,
-	})
+	s.inv = Invocation{Interface: msg.Interface, Op: msg.Op, Arg: msg.Arg, Env: env, Trace: msg.Trace}
+	_, err = s.target.Dispatch(&s.inv)
+	s.inv = Invocation{}
 	return true, err
 }
 
